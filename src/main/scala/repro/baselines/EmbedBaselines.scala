@@ -41,14 +41,6 @@ object EmbedBaselines {
     Ranked(ranked, 0.0, testT)
   }
 
-  /** Full S-BE score matrix, for score-averaging with TDmatch (§V-F2). */
-  def sbeScores(spark: SparkSession, world: World, a: Corpus, b: Corpus, dim: Int = 48): DataFrame = {
-    val vectors = Pretrained.vectors(spark, world, dim)
-    val q = embDf(spark, DocTokens.map(spark, a, markers = false), vectors, dim)
-    val c = embDf(spark, DocTokens.map(spark, b, markers = false), vectors, dim)
-    Matcher.allScores(q, c)
-  }
-
   private def embDf(
       spark: SparkSession,
       toks: Map[String, Seq[String]],

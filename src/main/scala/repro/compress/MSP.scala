@@ -2,7 +2,7 @@ package repro.compress
 
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
-import repro.core.{Graph, Kind}
+import repro.core.{CsrGraph, Graph, Kind}
 import scala.util.Random
 
 /** Metadata-Shortest-Path graph compression (paper Algorithm 3).
@@ -14,16 +14,15 @@ import scala.util.Random
   *
   * The pair loop — the O(β·|V|) hot part — is distributed: pairs are
   * grouped by source and processed by Spark tasks against a broadcast CSR
-  * adjacency ([[LocalGraph]]).
+  * adjacency ([[repro.core.CsrGraph]]).
   */
 object MSP {
 
   def compress(spark: SparkSession, g: Graph, beta: Double, seed: Long = 7): Graph = {
     import spark.implicits._
-    val lg   = LocalGraph.fromGraph(g)
-    val kinds = g.nodes.collect().map(r => r.getString(0) -> r.getString(1)).toMap
-    val meta1 = lg.labels.zipWithIndex.collect { case (l, i) if kinds(l) == Kind.Meta1 => i }
-    val meta2 = lg.labels.zipWithIndex.collect { case (l, i) if kinds(l) == Kind.Meta2 => i }
+    val lg    = CsrGraph.fromGraph(g)
+    val meta1 = lg.kinds.indices.filter(lg.kinds(_) == Kind.Meta1).toArray
+    val meta2 = lg.kinds.indices.filter(lg.kinds(_) == Kind.Meta2).toArray
     require(meta1.nonEmpty && meta2.nonEmpty, "MSP needs metadata nodes in both corpora")
 
     val rnd = new Random(seed)
@@ -71,7 +70,7 @@ object MSP {
     meta2.foreach(v => if (!keptNodes.contains(v)) cover(v, meta1Set))
     bc.destroy()
 
-    val nodesDf = keptNodes.toSeq.map(i => (lg.labels(i), kinds(lg.labels(i)))).toDF("id", "kind")
+    val nodesDf = keptNodes.toSeq.map(i => (lg.labels(i), lg.kinds(i))).toDF("id", "kind")
     val edgesDf = keptEdges.toSeq
       .map { case (a, b) =>
         val (la, lb) = (lg.labels(a), lg.labels(b))

@@ -2,7 +2,7 @@ package repro.compress
 
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
-import repro.core.{Graph, Kind}
+import repro.core.{CsrGraph, Graph, Kind}
 import scala.util.Random
 
 /** Simplified reimplementation of the SSumm sparse-summarization baseline
@@ -29,9 +29,8 @@ object SSuM {
     */
   def compress(spark: SparkSession, g: Graph, keepFraction: Double, seed: Long = 11): Graph = {
     import spark.implicits._
-    val lg    = LocalGraph.fromGraph(g)
-    val kinds = g.nodes.collect().map(r => r.getString(0) -> r.getString(1)).toMap
-    val isMeta = lg.labels.map(l => Kind.isMetadata(kinds(l)))
+    val lg     = CsrGraph.fromGraph(g)
+    val isMeta = lg.kinds.map(Kind.isMetadata)
 
     // 1) Merge data nodes with identical neighbor sets into supernodes.
     val signature = new scala.collection.mutable.HashMap[String, scala.collection.mutable.ArrayBuffer[Int]]()
@@ -101,7 +100,7 @@ object SSuM {
       isMeta(n) || mergedEdges.exists { case (a, b) => a == n || b == n })
 
     val nodesDf = finalNodes.toSeq
-      .map(i => (lg.labels(i), kinds(lg.labels(i)))).toDF("id", "kind")
+      .map(i => (lg.labels(i), lg.kinds(i))).toDF("id", "kind")
     val edgesDf = mergedEdges.toSeq
       .map { case (a, b) =>
         val (la, lb) = (lg.labels(a), lg.labels(b))

@@ -1,19 +1,19 @@
-package repro.compress
+package repro.core
 
-import repro.core.Graph
-
-/** Compact CSR adjacency of a [[repro.core.Graph]], used inside the
-  * compression algorithms: the pair-sampling loop is distributed over
-  * Spark tasks, each of which runs BFS against this broadcast structure.
-  * Graphs at evaluation scale (≤ a few hundred thousand edges) fit easily;
-  * the paper itself ran on an 8 GB laptop.
+/** Compact CSR adjacency of a [[Graph]], broadcast to Spark tasks by every
+  * local graph algorithm: BFS in MSP/SSuM compression and random walks.
+  * Node `v` (label `labels(v)`, kind `kinds(v)`) has the sorted neighbours
+  * `neighbors(offsets(v) until offsets(v + 1))`. Graphs at evaluation
+  * scale fit easily; the paper itself ran on an 8 GB laptop.
   */
-final class LocalGraph(
+final class CsrGraph(
     val labels: Array[String],
     val offsets: Array[Int],
-    val neighbors: Array[Int]) extends Serializable {
+    val neighbors: Array[Int],
+    val kinds: Array[String]) extends Serializable {
 
-  val index: Map[String, Int] = labels.zipWithIndex.toMap
+  /** Label → node; built where used, never shipped with a broadcast. */
+  @transient lazy val index: Map[String, Int] = labels.zipWithIndex.toMap
   def numNodes: Int = labels.length
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
   def neighborsOf(v: Int): Array[Int] =
@@ -68,12 +68,14 @@ final class LocalGraph(
   }
 }
 
-object LocalGraph {
-  /** Collect a Spark graph into CSR form (node order = sorted labels so
-    * the structure is deterministic for a given graph).
+object CsrGraph {
+  /** Collect a Spark graph into CSR form (nodes in sorted label order,
+    * neighbours sorted), so the structure depends only on the graph, not on
+    * how its DataFrames are partitioned.
     */
-  def fromGraph(g: Graph): LocalGraph = {
-    val labels = g.nodes.select("id").collect().map(_.getString(0)).sorted
+  def fromGraph(g: Graph): CsrGraph = {
+    val (labels, kinds) = g.nodes.select("id", "kind").collect()
+      .map(r => (r.getString(0), r.getString(1))).sortBy(_._1).unzip
     val index  = labels.zipWithIndex.toMap
     val edges = g.edges.select("src", "dst").collect().flatMap { r =>
       for (s <- index.get(r.getString(0)); d <- index.get(r.getString(1))) yield (s, d)
@@ -89,6 +91,8 @@ object LocalGraph {
       neighbors(cursor(s)) = d; cursor(s) += 1
       neighbors(cursor(d)) = s; cursor(d) += 1
     }
-    new LocalGraph(labels, offsets, neighbors)
+    i = 0
+    while (i < labels.length) { java.util.Arrays.sort(neighbors, offsets(i), offsets(i + 1)); i += 1 }
+    new CsrGraph(labels, offsets, neighbors, kinds)
   }
 }

@@ -71,9 +71,6 @@ object Graph {
   def metaId2(docId: String): String = s"m2::$docId"
   def attrId(a: String): String      = s"attr::$a"
 
-  /** Strip the metadata prefix back to the original document id. */
-  def docIdOf(nodeId: String): String = nodeId.replaceFirst("^(m1::|m2::|attr::)", "")
-
   def empty(spark: SparkSession): Graph = {
     import spark.implicits._
     Graph(

@@ -33,14 +33,16 @@ object RankMetrics {
 
   /** MAP truncated at rank k:
     * AP@k = Σ_{i≤k, rel(i)} Precision(i) / min(|relevant|, k), averaged
-    * over queries.
+    * over queries. Relevance is the set of distinct truth pairs: a pair
+    * the truth lists twice counts once.
     */
   def mapAtK(ranked: DataFrame, truth: DataFrame, k: Int): Double = {
-    val queries = truth.select("queryId").distinct()
-    val nRel = truth.groupBy("queryId").agg(count("*").as("nRel"))
+    val relevant = truth.select("queryId", "candId").distinct()
+    val queries = relevant.select("queryId").distinct()
+    val nRel = relevant.groupBy("queryId").agg(count("*").as("nRel"))
     val hits = ranked
       .where(col("rank") <= k)
-      .join(truth, Seq("queryId", "candId"))
+      .join(relevant, Seq("queryId", "candId"))
     // Precision at each hit position = (#hits with rank ≤ this rank) / rank.
     val w = org.apache.spark.sql.expressions.Window
       .partitionBy("queryId").orderBy("rank")

@@ -35,6 +35,10 @@ object TDMatch {
       topK: Int = 20,
       seed: Long = 42)
 
+  /** `graph` (the walked graph) and `originalGraph` (the base graph)
+    * stay persisted and belong to the caller, who unpersists them; so does
+    * the persisted `ranked`.
+    */
   final case class Result(
       graph: Graph,
       originalGraph: Graph,
@@ -68,6 +72,9 @@ object TDMatch {
     }
 
     val (vectors, ranked, trainSec, testSec) = embedAndRank(spark, graph, a, b, cfg, t0)
+    // The ranking is materialised: release the expanded graph, which
+    // compression replaced and the result does not return.
+    if ((expanded ne base) && (expanded ne graph)) expanded.unpersist()
     Result(graph, base, vectors, ranked, trainSec, testSec)
   }
 

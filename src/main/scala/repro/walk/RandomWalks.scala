@@ -1,57 +1,52 @@
 package repro.walk
 
+import java.util.SplittableRandom
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.core.Graph
+import repro.core.{CsrGraph, Graph}
+import scala.collection.mutable.ArrayBuffer
 
 /** Random-walk corpus generation (paper Algorithm 4).
   *
   * `n` walks of length `l` start from every graph node; each step moves to
-  * a uniformly random neighbor. Every walk becomes one "sentence" whose
-  * words are node labels; the union of sentences is the Word2Vec training
-  * corpus.
+  * a uniformly random neighbor, and an isolated node gives a length-1
+  * walk. Every walk becomes one "sentence" whose words are node labels;
+  * the union of sentences is the Word2Vec training corpus.
   *
-  * Implemented as `l-1` distributed joins against the grouped adjacency
-  * (`node → [neighbors]`); deterministic in `seed`.
+  * DeepWalk-style (Perozzi et al., KDD'14): one Spark job over ranges of
+  * start nodes walks the broadcast [[CsrGraph]] in memory. Walk `w` from
+  * node `v` draws from a `SplittableRandom` seeded by `(seed, v, w)` alone,
+  * so partitioning and core count do not change the corpus, and each pass
+  * over the DataFrame (Word2Vec makes two) regenerates identical walks.
   */
 object RandomWalks {
 
   /** Returns a DataFrame `(sentence: Array[String])` with `n · |V|` rows. */
   def walks(spark: SparkSession, g: Graph, n: Int, l: Int, seed: Long = 13): DataFrame = {
-    val adj = g.adjacency
-      .groupBy(col("src").as("node"))
-      .agg(collect_list(col("dst")).as("nbrs"))
-      .persist()
+    import spark.implicits._
+    val csr      = CsrGraph.fromGraph(g)
+    val bc       = spark.sparkContext.broadcast(csr)
+    val seedBits = new SplittableRandom(seed).nextLong()
+    spark.sparkContext
+      .parallelize(0 until csr.numNodes, spark.sparkContext.defaultParallelism)
+      .mapPartitions { startsIt =>
+        val graph  = bc.value
+        val starts = startsIt.toArray
+        // Walk-major order, as DeepWalk's passes over the node set.
+        for (w <- (0 until n).iterator; v <- starts.iterator)
+          yield walk(graph, v, l, new SplittableRandom(seedBits ^ ((v.toLong << 32) | w)))
+      }
+      .toDF("sentence")
+  }
 
-    val starts = g.nodes.select(col("id"))
-      .crossJoin(spark.range(n).select(col("id").as("walk")))
-      .select(col("id").as("cur"), array(col("id")).as("sentence"))
-
-    var cur = starts
-    var step = 1
-    while (step < l) {
-      val stepped = cur
-        .join(adj.withColumnRenamed("node", "cur"), Seq("cur"), "left")
-        .withColumn(
-          "next",
-          when(col("nbrs").isNotNull && size(col("nbrs")) > 0,
-            element_at(
-              col("nbrs"),
-              (floor(rand(seed + step) * size(col("nbrs"))) + 1).cast("int")))
-            .otherwise(lit(null)))
-        .select(
-          coalesce(col("next"), col("cur")).as("cur"),
-          when(col("next").isNotNull, concat(col("sentence"), array(col("next"))))
-            .otherwise(col("sentence"))
-            .as("sentence"))
-      // Cut lineage periodically: 30 chained joins otherwise blow up the plan.
-      cur =
-        if (step % 5 == 0) stepped.localCheckpoint(true)
-        else stepped
-      step += 1
+  /** Labels of one walk of at most `l` nodes from `start`. */
+  private def walk(g: CsrGraph, start: Int, l: Int, rnd: SplittableRandom): Array[String] = {
+    val out = new ArrayBuffer[String](l)
+    var cur = start
+    out += g.labels(cur)
+    while (out.length < l && g.degree(cur) > 0) {
+      cur = g.neighbors(g.offsets(cur) + rnd.nextInt(g.degree(cur)))
+      out += g.labels(cur)
     }
-    val out = cur.select("sentence")
-    adj.unpersist()
-    out
+    out.toArray
   }
 }

@@ -2,7 +2,7 @@ package repro.compress
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.{Graph, Kind}
+import repro.core.{CsrGraph, Graph, Kind}
 
 class CompressionSpec extends SparkSpec {
 
@@ -48,7 +48,7 @@ class CompressionSpec extends SparkSpec {
   }
   test("MSP coverage: unsampled metadata still connected (β→0)") {
     val cg = MSP.compress(spark, fixture, beta = 0.01, seed = 2)
-    val lg = LocalGraph.fromGraph(cg)
+    val lg = CsrGraph.fromGraph(cg)
     // every meta1 reaches some meta2
     Seq("m1::p1", "m1::p2").foreach { m =>
       val dist = lg.bfs(lg.index(m))

@@ -1,19 +1,22 @@
 package repro.compress
 
 import repro.SparkSpec
-import repro.core.{Graph, Kind}
+import repro.core.{CsrGraph, Graph, Kind}
 
+/** [[repro.core.CsrGraph]]; the suite keeps the name of the class it was
+  * written for, `LocalGraph`, so that its test names stay stable.
+  */
 class LocalGraphSpec extends SparkSpec {
 
   /** Path graph a-b-c-d plus a parallel branch a-x-d (two shortest paths
     * a→d of length 3... actually a-b-c-d is 3 hops, a-x-d is 2 hops).
     */
-  private def diamond: LocalGraph = {
+  private def diamond: CsrGraph = {
     import spark.implicits._
     val nodes = Seq("a", "b", "c", "d", "x").map((_, Kind.Term)).toDF("id", "kind")
     val edges = Seq(("a", "b"), ("b", "c"), ("c", "d"), ("a", "x"), ("x", "d"))
       .toDF("src", "dst")
-    LocalGraph.fromGraph(Graph(nodes, Graph.canonEdges(edges)))
+    CsrGraph.fromGraph(Graph(nodes, Graph.canonEdges(edges)))
   }
 
   test("fromGraph node count and determinism") {
@@ -45,7 +48,7 @@ class LocalGraphSpec extends SparkSpec {
     import spark.implicits._
     val nodes = Seq("a", "b", "z").map((_, Kind.Term)).toDF("id", "kind")
     val edges = Seq(("a", "b")).toDF("src", "dst")
-    val lg = LocalGraph.fromGraph(Graph(nodes, Graph.canonEdges(edges)))
+    val lg = CsrGraph.fromGraph(Graph(nodes, Graph.canonEdges(edges)))
     assert(lg.bfs(lg.index("a"))(lg.index("z")) == -1)
   }
   test("shortestPathSlice keeps only the short branch") {
@@ -61,7 +64,7 @@ class LocalGraphSpec extends SparkSpec {
     // a-b-d and a-c-d, both length 2
     val nodes = Seq("a", "b", "c", "d").map((_, Kind.Term)).toDF("id", "kind")
     val edges = Seq(("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")).toDF("src", "dst")
-    val lg = LocalGraph.fromGraph(Graph(nodes, Graph.canonEdges(edges)))
+    val lg = CsrGraph.fromGraph(Graph(nodes, Graph.canonEdges(edges)))
     val (ns, es) = lg.shortestPathSlice(lg.bfs(lg.index("a")), lg.index("d"))
     assert(ns.map(lg.labels) == Set("a", "b", "c", "d"))
     assert(es.size == 4)
@@ -70,7 +73,7 @@ class LocalGraphSpec extends SparkSpec {
     import spark.implicits._
     val nodes = Seq("a", "b", "z").map((_, Kind.Term)).toDF("id", "kind")
     val edges = Seq(("a", "b")).toDF("src", "dst")
-    val lg = LocalGraph.fromGraph(Graph(nodes, Graph.canonEdges(edges)))
+    val lg = CsrGraph.fromGraph(Graph(nodes, Graph.canonEdges(edges)))
     val (ns, es) = lg.shortestPathSlice(lg.bfs(lg.index("a")), lg.index("z"))
     assert(ns.isEmpty && es.isEmpty)
   }

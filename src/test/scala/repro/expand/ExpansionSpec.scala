@@ -89,11 +89,11 @@ class ExpansionSpec extends SparkSpec {
   }
 
   test("shortest path p1→t2 shrinks after expansion (paper example)") {
-    import repro.compress.LocalGraph
+    import repro.core.CsrGraph
     val kb = SynthKB(Seq(("tarantino", "comedi")))
-    val before = LocalGraph.fromGraph(fixture)
-    val after = LocalGraph.fromGraph(Expansion.expand(spark, fixture, kb))
-    def dist(lg: LocalGraph) = lg.bfs(lg.index("m1::p1"))(lg.index("m2::t2"))
+    val before = CsrGraph.fromGraph(fixture)
+    val after = CsrGraph.fromGraph(Expansion.expand(spark, fixture, kb))
+    def dist(lg: CsrGraph) = lg.bfs(lg.index("m1::p1"))(lg.index("m2::t2"))
     // before: p1-willis-t2 = 2 hops; after adds p1-comedy-tarantino-t2 (3),
     // so the count of ≤3-hop paths grows while the shortest stays 2.
     assert(dist(before) == 2 && dist(after) == 2)

@@ -67,6 +67,13 @@ class RankMetricsSpec extends SparkSpec {
     // min(|R|,1) = 1 → AP@1 = 1
     assert(RankMetrics.mapAtK(r, t, 1) == 1.0)
   }
+  test("MAP counts a pair the truth repeats once") {
+    val r = Seq(("q", "a", 1), ("q", "b", 2), ("p", "c", 1)).toDF("queryId", "candId", "rank")
+    val t = Seq(("q", "a"), ("q", "a"), ("q", "b"), ("p", "c")).toDF("queryId", "candId")
+    // A perfect ranking of the distinct pairs.
+    assert(RankMetrics.mapAtK(r, t, 1) == 1.0)
+    assert(RankMetrics.mapAtK(r, t, 5) == 1.0)
+  }
 
   test("HasPositive@1") {
     assert(math.abs(RankMetrics.hasPositiveAtK(ranked, truth, 1) - 1.0 / 3) < 1e-9)

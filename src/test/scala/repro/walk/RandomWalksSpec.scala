@@ -19,6 +19,19 @@ class RandomWalksSpec extends SparkSpec {
     Graph(nodes, Graph.canonEdges(edges))
   }
 
+  /** Degrees 1–4: a–{b, c, d, e}, b–c, c–d. */
+  private val unequal = Map(
+    "a" -> Seq("b", "c", "d", "e"), "b" -> Seq("a", "c"), "c" -> Seq("a", "b", "d"),
+    "d" -> Seq("a", "c"), "e" -> Seq("a"))
+
+  private def graphOf(adj: Map[String, Seq[String]], partitions: Int): Graph = {
+    import spark.implicits._
+    val ids = (adj.keys ++ adj.values.flatten).toSeq.distinct
+    val nodes = ids.map((_, Kind.Term)).toDF("id", "kind").repartition(partitions)
+    val edges = adj.toSeq.flatMap { case (u, vs) => vs.map((u, _)) }.toDF("src", "dst")
+    Graph(nodes, Graph.canonEdges(edges).repartition(partitions))
+  }
+
   test("walk count is n per node") {
     val w = RandomWalks.walks(spark, triangle, n = 4, l = 5)
     assert(w.count() == 12)
@@ -61,5 +74,32 @@ class RandomWalksSpec extends SparkSpec {
   test("long walks survive lineage checkpointing (l=30)") {
     val w = RandomWalks.walks(spark, triangle, n = 1, l = 30)
     assert(w.collect().forall(_.getSeq[String](0).size == 30))
+  }
+  test("steps choose uniformly among neighbours (chi-square)") {
+    val steps = RandomWalks.walks(spark, graphOf(unequal, 3), n = 200, l = 20, seed = 5).collect()
+      .flatMap(_.getSeq[String](0).sliding(2).collect { case Seq(u, v) => (u, v) })
+    // Chi-square critical values at p = 0.001 for 1–3 degrees of freedom.
+    val critical = Map(1 -> 10.83, 2 -> 13.82, 3 -> 16.27)
+    unequal.foreach { case (u, nbrs) =>
+      val from = steps.filter(_._1 == u).map(_._2)
+      val observed = nbrs.map(v => from.count(_ == v))
+      assert(from.nonEmpty && observed.sum == from.length, s"steps from $u leave its neighbours")
+      if (nbrs.size > 1) {
+        val expected = from.length.toDouble / nbrs.size
+        val chi2 = observed.map(o => (o - expected) * (o - expected) / expected).sum
+        assert(chi2 < critical(nbrs.size - 1), s"$u: counts $observed, chi-square $chi2")
+      }
+    }
+  }
+  test("walks do not depend on how the graph is partitioned") {
+    val rnd = new scala.util.Random(3)
+    val adj = (0 until 60).map(_ => (s"n${rnd.nextInt(40)}", s"n${rnd.nextInt(40)}"))
+      .filter { case (u, v) => u != v }
+      .groupBy(_._1).map { case (u, es) => u -> es.map(_._2) }
+    def sentences(partitions: Int) = RandomWalks.walks(spark, graphOf(adj, partitions), 5, 12, seed = 21)
+      .collect().map(_.getSeq[String](0).mkString(",")).sorted.toSeq
+    val one = sentences(1)
+    assert(one.size == 5 * graphOf(adj, 1).numNodes)
+    assert(one == sentences(7))
   }
 }
