@@ -301,15 +301,14 @@ object Tables {
       val base = repro.core.GraphBuilder
         .build(spark, sc.queries, sc.candidates,
           repro.core.GraphBuilder.Config(maxN = cfg.maxN, mergeMap = merge))
-        .persist()
-      val expanded = Expansion.expand(spark, base, sc.kb).persist()
+      val expanded = Expansion.expand(spark, base, sc.kb)
 
       val variants: Seq[(String, repro.core.Graph)] = Seq(
         "Original" -> base,
         "Expanded" -> expanded,
-        "MSP(0.5)" -> MSP.compress(spark, expanded, 0.5, cfg.seed).persist(),
-        "MSP(0.25)" -> MSP.compress(spark, expanded, 0.25, cfg.seed).persist(),
-        "SSuM(0.1)" -> SSuM.compress(spark, expanded, 0.1, cfg.seed).persist())
+        "MSP(0.5)" -> MSP.compress(spark, expanded, 0.5, cfg.seed),
+        "MSP(0.25)" -> MSP.compress(spark, expanded, 0.25, cfg.seed),
+        "SSuM(0.1)" -> SSuM.compress(spark, expanded, 0.1, cfg.seed))
 
       variants.foreach { case (vName, g) =>
         val (_, ranked, _, _) = TDMatch.embedAndRank(spark, g, sc.queries, sc.candidates, cfg)
@@ -317,7 +316,6 @@ object Tables {
         sb.append(f"| $name | $vName | ${g.numNodes} | ${g.numEdges} | $mrr%.3f |\n")
         ranked.unpersist()
       }
-      variants.foreach(_._2.unpersist())
     }
     sb.result()
   }

@@ -1,8 +1,7 @@
 package repro.compress
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
-import repro.core.{CsrGraph, Graph, Kind}
+import repro.core.{Graph, Kind}
 import scala.util.Random
 
 /** Metadata-Shortest-Path graph compression (paper Algorithm 3).
@@ -14,26 +13,24 @@ import scala.util.Random
   *
   * The pair loop — the O(β·|V|) hot part — is distributed: pairs are
   * grouped by source and processed by Spark tasks against a broadcast CSR
-  * adjacency ([[repro.core.CsrGraph]]).
+  * [[repro.core.Graph]].
   */
 object MSP {
 
   def compress(spark: SparkSession, g: Graph, beta: Double, seed: Long = 7): Graph = {
-    import spark.implicits._
-    val lg    = CsrGraph.fromGraph(g)
-    val meta1 = lg.kinds.indices.filter(lg.kinds(_) == Kind.Meta1).toArray
-    val meta2 = lg.kinds.indices.filter(lg.kinds(_) == Kind.Meta2).toArray
+    val meta1 = g.kinds.indices.filter(g.kinds(_) == Kind.Meta1).toArray
+    val meta2 = g.kinds.indices.filter(g.kinds(_) == Kind.Meta2).toArray
     require(meta1.nonEmpty && meta2.nonEmpty, "MSP needs metadata nodes in both corpora")
 
     val rnd = new Random(seed)
-    val L   = math.max(1L, (beta * lg.numNodes).toLong)
+    val L   = math.max(1L, (beta * g.numNodes).toLong)
     val pairs = (0L until L).map { _ =>
       (meta1(rnd.nextInt(meta1.length)), meta2(rnd.nextInt(meta2.length)))
     }
     val bySource: Seq[(Int, Seq[Int])] =
       pairs.groupBy(_._1).view.mapValues(_.map(_._2).distinct).toSeq
 
-    val bc = spark.sparkContext.broadcast(lg)
+    val bc = spark.sparkContext.broadcast(g)
     val slices = spark.sparkContext
       .parallelize(bySource, math.min(bySource.size, spark.sparkContext.defaultParallelism * 4).max(1))
       .map { case (src, targets) =>
@@ -58,11 +55,11 @@ object MSP {
     val meta2Set = meta2.toSet
     val meta1Set = meta1.toSet
     def cover(v: Int, others: Set[Int]): Unit = {
-      val dist = lg.bfs(v)
+      val dist = g.bfs(v)
       val reachable = others.filter(dist(_) >= 0)
       if (reachable.nonEmpty) {
         val nearest = reachable.minBy(dist)
-        val (ns, es) = lg.shortestPathSlice(dist, nearest)
+        val (ns, es) = g.shortestPathSlice(dist, nearest)
         keptNodes ++= ns; keptEdges ++= es
       } else keptNodes += v
     }
@@ -70,13 +67,8 @@ object MSP {
     meta2.foreach(v => if (!keptNodes.contains(v)) cover(v, meta1Set))
     bc.destroy()
 
-    val nodesDf = keptNodes.toSeq.map(i => (lg.labels(i), lg.kinds(i))).toDF("id", "kind")
-    val edgesDf = keptEdges.toSeq
-      .map { case (a, b) =>
-        val (la, lb) = (lg.labels(a), lg.labels(b))
-        (if (la < lb) la else lb, if (la < lb) lb else la)
-      }
-      .toDF("src", "dst")
-    Graph(nodesDf, edgesDf.distinct()).consistent
+    Graph.of(
+      keptNodes.map(v => (g.labels(v), g.kinds(v))),
+      keptEdges.map { case (a, b) => (g.labels(a), g.labels(b)) })
   }
 }

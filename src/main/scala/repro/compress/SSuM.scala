@@ -1,8 +1,7 @@
 package repro.compress
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
-import repro.core.{CsrGraph, Graph, Kind}
+import repro.core.{Graph, Kind}
 import scala.util.Random
 
 /** Simplified reimplementation of the SSumm sparse-summarization baseline
@@ -28,23 +27,21 @@ object SSuM {
     * input size (the paper's SSuM(0.1) row = compression ratio 0.9).
     */
   def compress(spark: SparkSession, g: Graph, keepFraction: Double, seed: Long = 11): Graph = {
-    import spark.implicits._
-    val lg     = CsrGraph.fromGraph(g)
-    val isMeta = lg.kinds.map(Kind.isMetadata)
+    val isMeta = g.kinds.map(Kind.isMetadata)
 
     // 1) Merge data nodes with identical neighbor sets into supernodes.
     val signature = new scala.collection.mutable.HashMap[String, scala.collection.mutable.ArrayBuffer[Int]]()
-    (0 until lg.numNodes).foreach { v =>
+    (0 until g.numNodes).foreach { v =>
       if (!isMeta(v)) {
-        val sig = lg.neighborsOf(v).sorted.mkString(",")
+        val sig = g.neighborsOf(v).sorted.mkString(",")
         signature.getOrElseUpdate(sig, scala.collection.mutable.ArrayBuffer.empty) += v
       }
     }
     // Representative = smallest label in the group.
-    val repOf = Array.tabulate(lg.numNodes)(identity)
+    val repOf = Array.tabulate(g.numNodes)(identity)
     signature.values.foreach { group =>
       if (group.size > 1) {
-        val rep = group.minBy(lg.labels)
+        val rep = group.minBy(g.labels)
         group.foreach(v => repOf(v) = rep)
       }
     }
@@ -52,9 +49,9 @@ object SSuM {
     // Rebuild edge set over representatives.
     var mergedEdges = scala.collection.mutable.Set.empty[(Int, Int)]
     var v = 0
-    while (v < lg.numNodes) {
+    while (v < g.numNodes) {
       val rv = repOf(v)
-      lg.neighborsOf(v).foreach { u =>
+      g.neighborsOf(v).foreach { u =>
         val ru = repOf(u)
         if (rv != ru) mergedEdges += ((math.min(rv, ru), math.max(rv, ru)))
       }
@@ -66,12 +63,12 @@ object SSuM {
     //    budget applies to *data* nodes — metadata is never summarized
     //    away (the matching task needs every metadata node).
     val nMeta = isMeta.count(identity)
-    val nData = lg.numNodes - nMeta
+    val nData = g.numNodes - nMeta
     val budget = nMeta + math.max(1, (keepFraction * nData).toInt)
     if (keptNodes.size > budget) {
       val deg = scala.collection.mutable.Map.empty[Int, Int].withDefaultValue(0)
       mergedEdges.foreach { case (a, b) => deg(a) += 1; deg(b) += 1 }
-      val droppable = keptNodes.filter(n => !isMeta(n)).toSeq.sortBy(n => (deg(n), lg.labels(n)))
+      val droppable = keptNodes.filter(n => !isMeta(n)).toSeq.sortBy(n => (deg(n), g.labels(n)))
       val toDrop = droppable.take(keptNodes.size - budget).toSet
       keptNodes = keptNodes -- toDrop
       mergedEdges = mergedEdges.filter { case (a, b) => keptNodes(a) && keptNodes(b) }
@@ -80,7 +77,7 @@ object SSuM {
     // 3) Sparsify edges uniformly down to the same fraction. Metadata
     //    coverage edges (one per metadata node) come on top of the
     //    budget, so aggressive ratios cannot disconnect the match targets.
-    val edgeBudget = math.max(1, (keepFraction * (lg.neighbors.length / 2)).toInt)
+    val edgeBudget = math.max(1, (keepFraction * (g.neighbors.length / 2)).toInt)
     if (mergedEdges.size > edgeBudget) {
       val rnd      = new Random(seed)
       val shuffled = rnd.shuffle(mergedEdges.toList)
@@ -96,17 +93,12 @@ object SSuM {
       shuffled.iterator.takeWhile(_ => kept.size < total).foreach(kept += _)
       mergedEdges = kept
     }
-    val finalNodes = keptNodes.filter(n =>
-      isMeta(n) || mergedEdges.exists { case (a, b) => a == n || b == n })
+    // Data nodes left without an edge are dropped.
+    val touched = mergedEdges.iterator.flatMap { case (a, b) => Iterator(a, b) }.toSet
+    val finalNodes = keptNodes.filter(n => isMeta(n) || touched(n))
 
-    val nodesDf = finalNodes.toSeq
-      .map(i => (lg.labels(i), lg.kinds(i))).toDF("id", "kind")
-    val edgesDf = mergedEdges.toSeq
-      .map { case (a, b) =>
-        val (la, lb) = (lg.labels(a), lg.labels(b))
-        (if (la < lb) la else lb, if (la < lb) lb else la)
-      }
-      .toDF("src", "dst")
-    Graph(nodesDf, edgesDf.distinct()).consistent
+    Graph.of(
+      finalNodes.map(v => (g.labels(v), g.kinds(v))),
+      mergedEdges.map { case (a, b) => (g.labels(a), g.labels(b)) })
   }
 }

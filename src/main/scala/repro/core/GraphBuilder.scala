@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** Graph creation (paper Algorithm 1 + §II-A/B/C/D).
@@ -40,64 +40,55 @@ object GraphBuilder {
           .distinct()
     }
 
-  /** Build the graph for corpora A and B. Returns the graph plus the
-    * retained `(docId, term)` assignments per corpus (useful for tests
-    * and baselines).
+  /** Build the graph for corpora A and B. Doc-term extraction, the merge
+    * map and the other corpus's term filter run in Spark; the nodes and
+    * edges they give are collected once into a [[Graph]].
     */
   def build(spark: SparkSession, a: Corpus, b: Corpus, cfg: Config = Config()): Graph = {
-    val dtA = applyMerge(a.docTerms(spark, cfg.maxN), cfg.mergeMap).persist()
-    val dtB = applyMerge(b.docTerms(spark, cfg.maxN), cfg.mergeMap).persist()
+    val dtA = applyMerge(a.docTerms(spark, cfg.maxN), cfg.mergeMap)
+    val dtB = applyMerge(b.docTerms(spark, cfg.maxN), cfg.mergeMap)
 
     // §II-B: data nodes come from the corpus with fewer distinct tokens.
     val aSeeds =
       !cfg.autoOrder || a.distinctTokenCount(spark) <= b.distinctTokenCount(spark)
     val (dtSeed, dtOther) = if (aSeeds) (dtA, dtB) else (dtB, dtA)
 
-    val termNodes = dtSeed.select(col("term").as("id")).distinct()
-      .withColumn("kind", lit(Kind.Term))
-
     // Second corpus keeps only terms already present in the graph.
-    val dtOtherKept = dtOther.join(
-      termNodes.select(col("id").as("term")), Seq("term"), "left_semi")
+    val dtOtherKept = dtOther.join(dtSeed.select("term"), Seq("term"), "left_semi")
 
     val (dtAKept, dtBKept) = if (aSeeds) (dtSeed, dtOtherKept) else (dtOtherKept, dtSeed)
 
-    def metaNodes(c: Corpus, prefix: String, kind: String): DataFrame =
-      c.units.select(col("docId")).distinct()
-        .select(concat(lit(prefix), col("docId")).as("id"))
-        .withColumn("kind", lit(kind))
+    // Nodes are `(id, null, kind)` rows and edges `(src, dst, null)` rows of
+    // one DataFrame; `Graph.of` drops the repeats.
+    def node(id: Column, kind: String): Seq[Column] =
+      Seq(id, lit(null).cast("string"), lit(kind))
+    def edge(src: Column, dst: Column): Seq[Column] =
+      Seq(src, dst, lit(null).cast("string"))
+    def meta(prefix: String): Column = concat(lit(prefix), col("docId"))
+    val attr = concat(lit("attr::"), col("attr"))
 
-    val meta1 = metaNodes(a, "m1::", Kind.Meta1)
-    val meta2 = metaNodes(b, "m2::", Kind.Meta2)
+    def docRows(c: Corpus, dt: DataFrame, prefix: String, kind: String): Seq[DataFrame] = {
+      val rows = Seq(
+        c.units.select(node(meta(prefix), kind): _*),
+        dt.select(edge(meta(prefix), col("term")): _*),
+        c.hierarchy(spark).select(
+          edge(concat(lit(prefix), col("child")), concat(lit(prefix), col("parent"))): _*))
+      if (!c.isTable) rows
+      else {
+        val withAttr = col("attr").isNotNull
+        rows ++ Seq(
+          c.units.where(withAttr).select(node(attr, Kind.Attr): _*),
+          dt.where(withAttr).select(edge(attr, col("term")): _*))
+      }
+    }
 
-    def attrNodes(c: Corpus): DataFrame =
-      c.units.select(col("attr")).where(col("attr").isNotNull).distinct()
-        .select(concat(lit("attr::"), col("attr")).as("id"))
-        .withColumn("kind", lit(Kind.Attr))
-
-    val attrsA = if (a.isTable) Some(attrNodes(a)) else None
-    val attrsB = if (b.isTable) Some(attrNodes(b)) else None
-
-    def docTermEdges(dt: DataFrame, prefix: String): DataFrame =
-      dt.select(concat(lit(prefix), col("docId")).as("src"), col("term").as("dst"))
-
-    def attrTermEdges(dt: DataFrame): DataFrame =
-      dt.where(col("attr").isNotNull)
-        .select(concat(lit("attr::"), col("attr")).as("src"), col("term").as("dst"))
-
-    def hierEdges(c: Corpus, prefix: String): DataFrame =
-      c.hierarchy(spark).select(
-        concat(lit(prefix), col("child")).as("src"),
-        concat(lit(prefix), col("parent")).as("dst"))
-
-    var edges = docTermEdges(dtAKept, "m1::").union(docTermEdges(dtBKept, "m2::"))
-    if (a.isTable) edges = edges.union(attrTermEdges(dtAKept))
-    if (b.isTable) edges = edges.union(attrTermEdges(dtBKept))
-    edges = edges.union(hierEdges(a, "m1::")).union(hierEdges(b, "m2::"))
-
-    val nodes = Seq(Some(termNodes), Some(meta1), Some(meta2), attrsA, attrsB)
-      .flatten.reduce(_ union _).distinct()
-
-    Graph(nodes, Graph.canonEdges(edges))
+    val rows = (dtSeed.select(node(col("term"), Kind.Term): _*) +:
+        (docRows(a, dtAKept, "m1::", Kind.Meta1) ++ docRows(b, dtBKept, "m2::", Kind.Meta2)))
+      .reduce(_ union _)
+      .collect()
+    val (nodeRows, edgeRows) = rows.partition(r => !r.isNullAt(2))
+    Graph.of(
+      nodeRows.map(r => (r.getString(0), r.getString(2))),
+      edgeRows.map(r => (r.getString(0), r.getString(1))))
   }
 }

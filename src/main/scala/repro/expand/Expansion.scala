@@ -1,6 +1,6 @@
 package repro.expand
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import repro.core.{Graph, Kind}
 
@@ -8,51 +8,39 @@ import repro.core.{Graph, Kind}
   *
   * For every non-metadata node, fetch all its connections in the resource
   * and add the corresponding nodes (kind `kb`) and edges. Then clean the
-  * graph by removing sink nodes — nodes of degree 1 that were introduced
-  * by the expansion (e.g. `Bhavna Vaswani` connected only to `Shyamalan`).
+  * graph in one pass: every non-metadata node of degree ≤ 1 is removed,
+  * whether the expansion added it (e.g. `Bhavna Vaswani` connected only to
+  * `Shyamalan`) or it was a term of the input graph. Metadata nodes are
+  * always kept.
   *
-  * All steps are distributed joins over the `nodes`/`edges`/`triples`
-  * DataFrames.
+  * The KB lookup is a Spark semi-join of the resource's triples against
+  * the data-node labels, so only the matching triples reach the driver;
+  * the union and the cleaning run on the [[Graph]].
   */
 object Expansion {
 
-  /** Expand `g` with `kb`, then drop degree-1 KB nodes. */
+  /** Expand `g` with `kb`, then drop non-metadata nodes of degree ≤ 1. */
   def expand(spark: SparkSession, g: Graph, kb: KnowledgeBase): Graph = {
-    val dataNodes = g.nodes.where(!col("kind").isin(Kind.Meta1, Kind.Meta2, Kind.Attr))
-      .select(col("id"))
+    import spark.implicits._
+    val dataNodes = g.nodeList.collect { case (id, k) if !Kind.isMetadata(k) => id }.toDF("id")
 
-    val t = kb.triples(spark)
     // Triples touching a data node of the graph, in either direction.
-    val bySubj = t.join(dataNodes.withColumnRenamed("id", "subject"), "subject")
-      .select(col("subject").as("src"), col("object").as("dst"))
-    val byObj = t.join(dataNodes.withColumnRenamed("id", "object"), "object")
-      .select(col("object").as("src"), col("subject").as("dst"))
-    val newEdges = Graph.canonEdges(bySubj.union(byObj))
+    val t = kb.triples(spark)
+    val touching = t.join(dataNodes.withColumnRenamed("id", "subject"), Seq("subject"), "left_semi")
+      .union(t.join(dataNodes.withColumnRenamed("id", "object"), Seq("object"), "left_semi")
+        .select("subject", "object"))
+      .collect().map(r => (r.getString(0), r.getString(1)))
 
-    val newNodeIds = newEdges.select(col("src").as("id"))
-      .union(newEdges.select(col("dst").as("id")))
-      .distinct()
-      .join(g.nodes.select("id"), Seq("id"), "left_anti")
-    val newNodes = newNodeIds.withColumn("kind", lit(Kind.Kb))
-
-    val expanded = Graph(
-      g.nodes.union(newNodes),
-      Graph.canonEdges(g.edges.union(newEdges)))
-
-    removeSinks(expanded)
+    val kbNodes = touching.flatMap { case (s, o) => Seq(s, o) }
+      .filterNot(g.index.contains).map((_, Kind.Kb))
+    removeSinks(Graph.of(g.nodeList ++ kbNodes, g.edgeList ++ touching))
   }
 
   /** Remove degree-≤1 non-metadata nodes (Algorithm 2, cleaning step).
     * One pass, as in the paper; metadata nodes are always kept.
     */
   def removeSinks(g: Graph): Graph = {
-    val deg  = g.degrees
-    val keep = g.nodes
-      .join(deg, Seq("id"), "left")
-      .where(
-        col("kind").isin(Kind.Meta1, Kind.Meta2, Kind.Attr) ||
-          coalesce(col("degree"), lit(0L)) > 1)
-      .select("id", "kind")
-    Graph(keep, g.edges).consistent
+    val keep = g.labels.indices.filter(v => Kind.isMetadata(g.kinds(v)) || g.degree(v) > 1)
+    Graph.of(keep.map(v => (g.labels(v), g.kinds(v))), g.edgeList)
   }
 }

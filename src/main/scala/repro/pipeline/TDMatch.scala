@@ -35,9 +35,9 @@ object TDMatch {
       topK: Int = 20,
       seed: Long = 42)
 
-  /** `graph` (the walked graph) and `originalGraph` (the base graph)
-    * stay persisted and belong to the caller, who unpersists them; so does
-    * the persisted `ranked`.
+  /** `graph` is the walked graph, `originalGraph` the base graph; both
+    * live in driver memory. `ranked` is persisted and belongs to the
+    * caller, who unpersists it.
     */
   final case class Result(
       graph: Graph,
@@ -56,25 +56,20 @@ object TDMatch {
     */
   def run(spark: SparkSession, a: Corpus, b: Corpus, cfg: Config): Result = {
     val t0 = System.nanoTime()
-    val base = GraphBuilder
-      .build(spark, a, b, GraphBuilder.Config(maxN = cfg.maxN, mergeMap = cfg.mergeMap))
-      .persist()
+    val base = GraphBuilder.build(spark, a, b, GraphBuilder.Config(maxN = cfg.maxN, mergeMap = cfg.mergeMap))
 
     val expanded = cfg.expansion match {
-      case Some(kb) => Expansion.expand(spark, base, kb).persist()
+      case Some(kb) => Expansion.expand(spark, base, kb)
       case None     => base
     }
 
     val graph = cfg.compression match {
       case NoCompression => expanded
-      case Msp(beta)     => MSP.compress(spark, expanded, beta, cfg.seed).persist()
-      case Ssum(f)       => SSuM.compress(spark, expanded, f, cfg.seed).persist()
+      case Msp(beta)     => MSP.compress(spark, expanded, beta, cfg.seed)
+      case Ssum(f)       => SSuM.compress(spark, expanded, f, cfg.seed)
     }
 
     val (vectors, ranked, trainSec, testSec) = embedAndRank(spark, graph, a, b, cfg, t0)
-    // The ranking is materialised: release the expanded graph, which
-    // compression replaced and the result does not return.
-    if ((expanded ne base) && (expanded ne graph)) expanded.unpersist()
     Result(graph, base, vectors, ranked, trainSec, testSec)
   }
 

@@ -2,7 +2,7 @@ package repro.walk
 
 import java.util.SplittableRandom
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{CsrGraph, Graph}
+import repro.core.Graph
 import scala.collection.mutable.ArrayBuffer
 
 /** Random-walk corpus generation (paper Algorithm 4).
@@ -13,7 +13,7 @@ import scala.collection.mutable.ArrayBuffer
   * the union of sentences is the Word2Vec training corpus.
   *
   * DeepWalk-style (Perozzi et al., KDD'14): one Spark job over ranges of
-  * start nodes walks the broadcast [[CsrGraph]] in memory. Walk `w` from
+  * start nodes walks the broadcast [[Graph]] in memory. Walk `w` from
   * node `v` draws from a `SplittableRandom` seeded by `(seed, v, w)` alone,
   * so partitioning and core count do not change the corpus, and each pass
   * over the DataFrame (Word2Vec makes two) regenerates identical walks.
@@ -23,11 +23,10 @@ object RandomWalks {
   /** Returns a DataFrame `(sentence: Array[String])` with `n · |V|` rows. */
   def walks(spark: SparkSession, g: Graph, n: Int, l: Int, seed: Long = 13): DataFrame = {
     import spark.implicits._
-    val csr      = CsrGraph.fromGraph(g)
-    val bc       = spark.sparkContext.broadcast(csr)
+    val bc       = spark.sparkContext.broadcast(g)
     val seedBits = new SplittableRandom(seed).nextLong()
     spark.sparkContext
-      .parallelize(0 until csr.numNodes, spark.sparkContext.defaultParallelism)
+      .parallelize(0 until g.numNodes, spark.sparkContext.defaultParallelism)
       .mapPartitions { startsIt =>
         val graph  = bc.value
         val starts = startsIt.toArray
@@ -39,7 +38,7 @@ object RandomWalks {
   }
 
   /** Labels of one walk of at most `l` nodes from `start`. */
-  private def walk(g: CsrGraph, start: Int, l: Int, rnd: SplittableRandom): Array[String] = {
+  private def walk(g: Graph, start: Int, l: Int, rnd: SplittableRandom): Array[String] = {
     val out = new ArrayBuffer[String](l)
     var cur = start
     out += g.labels(cur)

@@ -2,7 +2,7 @@ package repro.compress
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.{CsrGraph, Graph, Kind}
+import repro.core.{Graph, Kind}
 
 class CompressionSpec extends SparkSpec {
 
@@ -10,20 +10,18 @@ class CompressionSpec extends SparkSpec {
     * tail of hub-and-spoke noise terms that compression should drop.
     */
   private def fixture: Graph = {
-    import spark.implicits._
     val metas = Seq(("m1::p1", Kind.Meta1), ("m1::p2", Kind.Meta1),
       ("m2::t1", Kind.Meta2), ("m2::t2", Kind.Meta2))
     val bridgeTerms = Seq("shared1", "shared2").map((_, Kind.Term))
     val noise = (0 until 30).map(i => (s"noise$i", Kind.Term))
-    val nodes = (metas ++ bridgeTerms ++ noise).toDF("id", "kind")
+    val nodes = metas ++ bridgeTerms ++ noise
     val bridgeEdges = Seq(
       ("m1::p1", "shared1"), ("m2::t1", "shared1"),
       ("m1::p2", "shared2"), ("m2::t2", "shared2"))
     // noise chain hanging off p1 that reaches no meta2 node
     val noiseEdges = (0 until 29).map(i => (s"noise$i", s"noise${i + 1}")) :+
       (("m1::p1", "noise0"))
-    val edges = (bridgeEdges ++ noiseEdges).toDF("src", "dst")
-    Graph(nodes, Graph.canonEdges(edges)).persist()
+    Graph.of(nodes, bridgeEdges ++ noiseEdges)
   }
 
   test("MSP keeps all metadata nodes") {
@@ -48,11 +46,10 @@ class CompressionSpec extends SparkSpec {
   }
   test("MSP coverage: unsampled metadata still connected (β→0)") {
     val cg = MSP.compress(spark, fixture, beta = 0.01, seed = 2)
-    val lg = CsrGraph.fromGraph(cg)
     // every meta1 reaches some meta2
     Seq("m1::p1", "m1::p2").foreach { m =>
-      val dist = lg.bfs(lg.index(m))
-      assert(Seq("m2::t1", "m2::t2").exists(t => lg.index.get(t).exists(dist(_) >= 0)), m)
+      val dist = cg.bfs(cg.index(m))
+      assert(Seq("m2::t1", "m2::t2").exists(t => cg.index.get(t).exists(dist(_) >= 0)), m)
     }
   }
   test("MSP edges all existed in the input") {
@@ -76,13 +73,11 @@ class CompressionSpec extends SparkSpec {
     assert(cg.numNodes <= (0.3 * fixture.numNodes.toDouble).toInt + 4) // + protected metas
   }
   test("SSuM merges identical-neighborhood data nodes") {
-    import spark.implicits._
-    val nodes = (Seq(("m1::a", Kind.Meta1), ("m2::b", Kind.Meta2)) ++
-      Seq(("t1", Kind.Term), ("t2", Kind.Term))).toDF("id", "kind")
+    val nodes = Seq(("m1::a", Kind.Meta1), ("m2::b", Kind.Meta2)) ++
+      Seq(("t1", Kind.Term), ("t2", Kind.Term))
     // t1 and t2 have identical neighborhoods {m1::a, m2::b}
     val edges = Seq(("m1::a", "t1"), ("m2::b", "t1"), ("m1::a", "t2"), ("m2::b", "t2"))
-      .toDF("src", "dst")
-    val g = Graph(nodes, Graph.canonEdges(edges))
+    val g = Graph.of(nodes, edges)
     val cg = SSuM.compress(spark, g, keepFraction = 1.0)
     val terms = cg.nodes.where(col("kind") === Kind.Term).collect().map(_.getString(0))
     assert(terms.length == 1 && terms.head == "t1")

@@ -1,25 +1,22 @@
 package repro.compress
 
-import repro.SparkSpec
-import repro.core.{CsrGraph, Graph, Kind}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{Graph, Kind}
 
-/** [[repro.core.CsrGraph]]; the suite keeps the name of the class it was
-  * written for, `LocalGraph`, so that its test names stay stable.
+/** The CSR accessors of [[repro.core.Graph]]; the suite keeps the name of
+  * the class it was written for, `LocalGraph`, so that its test names stay
+  * stable.
   */
-class LocalGraphSpec extends SparkSpec {
+class LocalGraphSpec extends AnyFunSuite {
 
   /** Path graph a-b-c-d plus a parallel branch a-x-d (two shortest paths
     * a→d of length 3... actually a-b-c-d is 3 hops, a-x-d is 2 hops).
     */
-  private def diamond: CsrGraph = {
-    import spark.implicits._
-    val nodes = Seq("a", "b", "c", "d", "x").map((_, Kind.Term)).toDF("id", "kind")
-    val edges = Seq(("a", "b"), ("b", "c"), ("c", "d"), ("a", "x"), ("x", "d"))
-      .toDF("src", "dst")
-    CsrGraph.fromGraph(Graph(nodes, Graph.canonEdges(edges)))
-  }
+  private def diamond: Graph = Graph.of(
+    Seq("a", "b", "c", "d", "x").map((_, Kind.Term)),
+    Seq(("a", "b"), ("b", "c"), ("c", "d"), ("a", "x"), ("x", "d")))
 
-  test("fromGraph node count and determinism") {
+  test("Graph.of node count and determinism") {
     val lg = diamond
     assert(lg.numNodes == 5)
     assert(lg.labels.sorted.sameElements(lg.labels)) // sorted order
@@ -45,10 +42,7 @@ class LocalGraphSpec extends SparkSpec {
     assert(dist(lg.index("c")) == 2)
   }
   test("bfs unreachable is -1") {
-    import spark.implicits._
-    val nodes = Seq("a", "b", "z").map((_, Kind.Term)).toDF("id", "kind")
-    val edges = Seq(("a", "b")).toDF("src", "dst")
-    val lg = CsrGraph.fromGraph(Graph(nodes, Graph.canonEdges(edges)))
+    val lg = Graph.of(Seq("a", "b", "z").map((_, Kind.Term)), Seq(("a", "b")))
     assert(lg.bfs(lg.index("a"))(lg.index("z")) == -1)
   }
   test("shortestPathSlice keeps only the short branch") {
@@ -60,20 +54,16 @@ class LocalGraphSpec extends SparkSpec {
     assert(es.size == 2)
   }
   test("shortestPathSlice returns all tied shortest paths") {
-    import spark.implicits._
     // a-b-d and a-c-d, both length 2
-    val nodes = Seq("a", "b", "c", "d").map((_, Kind.Term)).toDF("id", "kind")
-    val edges = Seq(("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")).toDF("src", "dst")
-    val lg = CsrGraph.fromGraph(Graph(nodes, Graph.canonEdges(edges)))
+    val lg = Graph.of(
+      Seq("a", "b", "c", "d").map((_, Kind.Term)),
+      Seq(("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")))
     val (ns, es) = lg.shortestPathSlice(lg.bfs(lg.index("a")), lg.index("d"))
     assert(ns.map(lg.labels) == Set("a", "b", "c", "d"))
     assert(es.size == 4)
   }
   test("shortestPathSlice of unreachable target is empty") {
-    import spark.implicits._
-    val nodes = Seq("a", "b", "z").map((_, Kind.Term)).toDF("id", "kind")
-    val edges = Seq(("a", "b")).toDF("src", "dst")
-    val lg = CsrGraph.fromGraph(Graph(nodes, Graph.canonEdges(edges)))
+    val lg = Graph.of(Seq("a", "b", "z").map((_, Kind.Term)), Seq(("a", "b")))
     val (ns, es) = lg.shortestPathSlice(lg.bfs(lg.index("a")), lg.index("z"))
     assert(ns.isEmpty && es.isEmpty)
   }

@@ -23,8 +23,15 @@ class GraphBuilderSpec extends SparkSpec {
 
   private lazy val g = {
     val (reviews, movies) = fixture
-    GraphBuilder.build(spark, reviews, movies, GraphBuilder.Config(maxN = 2)).persist()
+    GraphBuilder.build(spark, reviews, movies, GraphBuilder.Config(maxN = 2))
   }
+
+  /** Labels of the neighbours of node `id`. */
+  private def neighbours(g: Graph, id: String): Set[String] =
+    g.neighborsOf(g.index(id)).map(g.labels).toSet
+
+  private def metadataIds(g: Graph): Set[String] =
+    g.nodeList.collect { case (id, k) if Kind.isMetadata(k) => id }.toSet
 
   test("metadata nodes exist for every document of both corpora") {
     val metas = g.nodes.where(col("kind").isin(Kind.Meta1, Kind.Meta2))
@@ -46,25 +53,23 @@ class GraphBuilderSpec extends SparkSpec {
   }
 
   test("review terms present in the table survive filtering") {
-    val p1Edges = g.adjacency.where(col("src") === "m1::p1")
-      .collect().map(_.getString(1)).toSet
+    val p1Edges = neighbours(g, "m1::p1")
     assert(p1Edges == Set("willi")) // comedy/bland filtered, willis kept
   }
 
   test("tuple connects to its term nodes") {
-    val t1 = g.adjacency.where(col("src") === "m2::t1").collect().map(_.getString(1)).toSet
+    val t1 = neighbours(g, "m2::t1")
     assert(t1.contains("shyamalan") && t1.contains("thriller") && t1.contains("willi"))
     assert(t1.contains("sixth_sens")) // bigram term
   }
 
   test("attribute node links the active domain (2-hop paths across tuples)") {
-    val dirTerms = g.adjacency.where(col("src") === "attr::director")
-      .collect().map(_.getString(1)).toSet
+    val dirTerms = neighbours(g, "attr::director")
     assert(dirTerms == Set("shyamalan", "tarantino"))
   }
 
   test("no edges between metadata nodes of different corpora") {
-    val metaIds = g.metadataNodes.collect().map(_.getString(0)).toSet
+    val metaIds = metadataIds(g)
     val crossEdges = g.edges.collect().filter { r =>
       metaIds.contains(r.getString(0)) && metaIds.contains(r.getString(1))
     }
@@ -78,11 +83,14 @@ class GraphBuilderSpec extends SparkSpec {
   }
 
   test("degree computation matches DuckDB") {
-    val adj = g.adjacency
+    import spark.implicits._
+    val byNode = g.labels.indices.filter(g.degree(_) > 0)
+      .map(v => (g.labels(v), g.degree(v).toString)).toDF("id", "degree")
     Oracle.assertEquivalent(
-      g.degrees.select(col("id"), col("degree").cast("string").as("degree")),
-      "SELECT src AS id, CAST(COUNT(*) AS VARCHAR) AS degree FROM adj GROUP BY src",
-      "adj" -> adj)
+      byNode,
+      "SELECT id, CAST(COUNT(*) AS VARCHAR) AS degree " +
+        "FROM (SELECT src AS id FROM edges UNION ALL SELECT dst AS id FROM edges) GROUP BY id",
+      "edges" -> g.edges)
   }
 
   test("mergeMap rewrites variants before edge creation") {
@@ -93,7 +101,7 @@ class GraphBuilderSpec extends SparkSpec {
       GraphBuilder.Config(maxN = 1, mergeMap = Some(merge)))
     val terms = gm.nodes.where(col("kind") === Kind.Term).collect().map(_.getString(0)).toSet
     assert(terms.contains("canonwilli") && !terms.contains("willi"))
-    val p1 = gm.adjacency.where(col("src") === "m1::p1").collect().map(_.getString(1)).toSet
+    val p1 = neighbours(gm, "m1::p1")
     assert(p1 == Set("canonwilli"))
   }
 
@@ -119,8 +127,8 @@ class GraphBuilderSpec extends SparkSpec {
   }
 
   test("every metadata node with terms has at least one edge") {
-    val ids = g.metadataNodes.collect().map(_.getString(0)).toSet
-    val withEdge = g.adjacency.select("src").distinct().collect().map(_.getString(0)).toSet
+    val ids = metadataIds(g)
+    val withEdge = g.labels.indices.filter(g.degree(_) > 0).map(g.labels).toSet
     assert(ids.subsetOf(withEdge))
   }
 

@@ -1,24 +1,19 @@
 package repro.expand
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.core.{Graph, Kind}
 
 class ExpansionSpec extends SparkSpec {
 
   /** p1 — willis — t2 fixture with a KB offering tarantino→comedy. */
-  private def fixture: Graph = {
-    import spark.implicits._
-    val nodes = Seq(
+  private def fixture: Graph = Graph.of(
+    Seq(
       ("m1::p1", Kind.Meta1), ("m2::t2", Kind.Meta2),
-      ("willi", Kind.Term), ("comedi", Kind.Term), ("tarantino", Kind.Term))
-      .toDF("id", "kind")
-    val edges = Seq(
+      ("willi", Kind.Term), ("comedi", Kind.Term), ("tarantino", Kind.Term)),
+    Seq(
       ("m1::p1", "willi"), ("m1::p1", "comedi"),
-      ("m2::t2", "willi"), ("m2::t2", "tarantino"))
-      .toDF("src", "dst")
-    Graph(nodes, Graph.canonEdges(edges)).persist()
-  }
+      ("m2::t2", "willi"), ("m2::t2", "tarantino")))
 
   test("expansion adds the style(tarantino, comedy) bridge (paper §III-A)") {
     val kb = SynthKB(Seq(("tarantino", "comedi")))
@@ -53,11 +48,8 @@ class ExpansionSpec extends SparkSpec {
   }
 
   test("metadata nodes survive pruning even at degree 1") {
-    import spark.implicits._
     val nodes = Seq(("m1::p1", Kind.Meta1), ("t", Kind.Term), ("m2::t1", Kind.Meta2))
-      .toDF("id", "kind")
-    val edges = Seq(("m1::p1", "t")).toDF("src", "dst")
-    val g = Expansion.removeSinks(Graph(nodes, Graph.canonEdges(edges)))
+    val g = Expansion.removeSinks(Graph.of(nodes, Seq(("m1::p1", "t"))))
     val kept = g.nodes.collect().map(_.getString(0)).toSet
     assert(kept.contains("m1::p1") && kept.contains("m2::t1"))
   }
@@ -89,11 +81,10 @@ class ExpansionSpec extends SparkSpec {
   }
 
   test("shortest path p1→t2 shrinks after expansion (paper example)") {
-    import repro.core.CsrGraph
     val kb = SynthKB(Seq(("tarantino", "comedi")))
-    val before = CsrGraph.fromGraph(fixture)
-    val after = CsrGraph.fromGraph(Expansion.expand(spark, fixture, kb))
-    def dist(lg: CsrGraph) = lg.bfs(lg.index("m1::p1"))(lg.index("m2::t2"))
+    val before = fixture
+    val after = Expansion.expand(spark, fixture, kb)
+    def dist(lg: Graph) = lg.bfs(lg.index("m1::p1"))(lg.index("m2::t2"))
     // before: p1-willis-t2 = 2 hops; after adds p1-comedy-tarantino-t2 (3),
     // so the count of ≤3-hop paths grows while the shortest stays 2.
     assert(dist(before) == 2 && dist(after) == 2)
@@ -109,5 +100,42 @@ class ExpansionSpec extends SparkSpec {
   test("SynthKB triples dedup") {
     val kb = SynthKB(Seq(("a", "b"), ("a", "b")))
     assert(kb.triples(spark).count() == 1)
+  }
+
+  test("expansion matches DuckDB: canonical union, then sink pruning, then induced edges") {
+    // A degree-1 base term left alone (tarantino), a degree-1 KB node
+    // (spouse_node), a KB node linked twice (pulp_fiction), a triple from a
+    // metadata node to a new label (ignored) and one between a metadata
+    // node and a term that repeats a graph edge.
+    val kb = SynthKB(Seq(
+      ("willi", "spouse_node"), ("willi", "pulp_fiction"), ("comedi", "pulp_fiction"),
+      ("m1::p1", "evil_node"), ("m2::t2", "willi")))
+    val g = Expansion.expand(spark, fixture, kb)
+    val tables = Seq("nodes" -> fixture.nodes, "edges" -> fixture.edges, "triples" -> kb.triples(spark))
+    val meta = s"('${Kind.Meta1}', '${Kind.Meta2}', '${Kind.Attr}')"
+    val kept =
+      s"""WITH data AS (SELECT id FROM nodes WHERE kind NOT IN $meta),
+         |hits AS (
+         |  SELECT subject AS a, object AS b FROM triples WHERE subject IN (SELECT id FROM data)
+         |  UNION SELECT subject, object FROM triples WHERE object IN (SELECT id FROM data)),
+         |e AS (
+         |  SELECT src, dst FROM edges
+         |  UNION SELECT least(a, b), greatest(a, b) FROM hits WHERE a <> b),
+         |n AS (
+         |  SELECT id, kind FROM nodes
+         |  UNION SELECT x, '${Kind.Kb}' FROM (SELECT a AS x FROM hits UNION SELECT b FROM hits)
+         |    WHERE x NOT IN (SELECT id FROM nodes)),
+         |deg AS (SELECT id, COUNT(*) AS d FROM (SELECT src AS id FROM e UNION ALL SELECT dst FROM e) GROUP BY id),
+         |keep AS (
+         |  SELECT n.id, n.kind FROM n LEFT JOIN deg ON n.id = deg.id
+         |  WHERE n.kind IN $meta OR COALESCE(deg.d, 0) > 1)
+         |""".stripMargin
+    Oracle.assertEquivalent(g.nodes, kept + "SELECT id, kind FROM keep", tables: _*)
+    Oracle.assertEquivalent(g.edges,
+      kept + "SELECT src, dst FROM e WHERE src IN (SELECT id FROM keep) AND dst IN (SELECT id FROM keep)",
+      tables: _*)
+    // The fixture exercises every case it names.
+    assert(g.index.contains("pulp_fiction") && g.index.contains("comedi"))
+    assert(Seq("spouse_node", "tarantino", "evil_node").forall(!g.index.contains(_)))
   }
 }

@@ -71,6 +71,14 @@ class TDMatchSpec extends SparkSpec {
     val rS = TDMatch.run(spark, sc.queries, sc.candidates, cfgS)
     assert(rS.ranked.count() > 0)
   }
+  test("a run leaves no persisted RDD once its ranking is released") {
+    val before = spark.sparkContext.getPersistentRDDs.keySet.toSet
+    val r = TDMatch.run(spark, sc.queries, sc.candidates,
+      cfg.copy(expansion = Some(sc.kb), compression = TDMatch.Msp(0.5)))
+    r.ranked.unpersist()
+    val left = spark.sparkContext.getPersistentRDDs.keySet.toSet -- before
+    assert(left.isEmpty, s"persisted RDDs left: ${left.size}")
+  }
   test("scores emits a full matrix compatible with averageScores") {
     val s = TDMatch.scores(spark, sc.queries, sc.candidates, result.vectors, cfg.vectorSize)
     assert(s.count() == 30L * 15L)

@@ -5,19 +5,11 @@ import repro.core.{Graph, Kind}
 
 class RandomWalksSpec extends SparkSpec {
 
-  private def triangle: Graph = {
-    import spark.implicits._
-    val nodes = Seq("a", "b", "c").map((_, Kind.Term)).toDF("id", "kind")
-    val edges = Seq(("a", "b"), ("b", "c"), ("a", "c")).toDF("src", "dst")
-    Graph(nodes, Graph.canonEdges(edges)).persist()
-  }
+  private def triangle: Graph =
+    Graph.of(Seq("a", "b", "c").map((_, Kind.Term)), Seq(("a", "b"), ("b", "c"), ("a", "c")))
 
-  private def withIsolated: Graph = {
-    import spark.implicits._
-    val nodes = Seq("a", "b", "lone").map((_, Kind.Term)).toDF("id", "kind")
-    val edges = Seq(("a", "b")).toDF("src", "dst")
-    Graph(nodes, Graph.canonEdges(edges))
-  }
+  private def withIsolated: Graph =
+    Graph.of(Seq("a", "b", "lone").map((_, Kind.Term)), Seq(("a", "b")))
 
   /** Degrees 1–4: a–{b, c, d, e}, b–c, c–d. */
   private val unequal = Map(
@@ -29,7 +21,8 @@ class RandomWalksSpec extends SparkSpec {
     val ids = (adj.keys ++ adj.values.flatten).toSeq.distinct
     val nodes = ids.map((_, Kind.Term)).toDF("id", "kind").repartition(partitions)
     val edges = adj.toSeq.flatMap { case (u, vs) => vs.map((u, _)) }.toDF("src", "dst")
-    Graph(nodes, Graph.canonEdges(edges).repartition(partitions))
+      .repartition(partitions)
+    Graph.of(nodes.as[(String, String)].collect(), edges.as[(String, String)].collect())
   }
 
   test("walk count is n per node") {
