@@ -1,6 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.data.Scenarios
+import repro.metrics.RankMetrics
 
 /** Benchmark suites, one per paper table. Each prints the measured rows
   * (captured into bench_output.txt / EXPERIMENTS.md) and asserts the
@@ -120,6 +122,25 @@ class TableVIIIBench extends BenchBase {
       assert(msp25._3 <= msp5._3, s"$ds MSP(0.25) ≤ MSP(0.5) nodes")
       // SSuM keeps a usable sparsified graph (metadata stays connected).
       assert(of("SSuM(0.1)")._4 > 0, s"$ds SSuM should keep edges")
+    }
+  }
+}
+
+/** Recorded ablation, no paper table: the effect of γ-merge, bucketing
+  * and walk budget on W-RW quality for CoronaCheck Gen. Prints one
+  * `PROBE` line per variant; asserts nothing.
+  */
+class CoronaAblationBench extends BenchBase {
+  test("corona W-RW ablation probe") {
+    val sc = Scenarios.corona(spark, Scenarios.CoronaParams(nGen = 250))
+    for {
+      (gamma, buckets) <- Seq((false, false), (false, true), (true, true))
+      (nw, wl) <- Seq((10, 10), (30, 15))
+    } {
+      val bench = Tables.Bench(numWalks = nw, walkLength = wl)
+      val r = Tables.wrw(spark, sc, expand = false, gamma, buckets, bench)
+      val mrr = RankMetrics.mrr(r.ranked, sc.truth)
+      println(f"PROBE gamma=$gamma buckets=$buckets walks=${nw}x$wl mrr=$mrr%.3f")
     }
   }
 }

@@ -9,6 +9,10 @@ import repro.bench.Tables
   * {{{
   * spark-submit --class repro.jobs.TableIJob target/scala-2.13/repro_2.13-*.jar
   * }}}
+  *
+  * `JobSession` is the one session setup, shared by the jobs, the tests
+  * and perfbench: local mode unless `SPARK_MASTER` says otherwise, and
+  * broadcast joins off so that joins take the shuffle path.
   */
 object JobSession {
   def spark(name: String): SparkSession = {

@@ -33,24 +33,16 @@ object EmbedBaselines {
     val qTok = DocTokens.map(spark, a, markers = false)
     val cTok = DocTokens.map(spark, b, markers = false)
     val (ranked, testT) = time {
-      val q = embDf(spark, qTok, vectors, dim)
-      val c = embDf(spark, cTok, vectors, dim)
-      Matcher.topK(q, c, k).persist()
+      Matcher.topK(spark, meanVectors(qTok, vectors, dim), meanVectors(cTok, vectors, dim), k)
     }
-    ranked.count()
     Ranked(ranked, 0.0, testT)
   }
 
-  private def embDf(
-      spark: SparkSession,
+  private def meanVectors(
       toks: Map[String, Seq[String]],
       vectors: Map[String, Array[Float]],
-      dim: Int): DataFrame = {
-    import spark.implicits._
-    toks.toSeq.map { case (id, ts) =>
-      (id, Embeddings.meanVector(ts, vectors, dim).toSeq)
-    }.toDF("id", "vec")
-  }
+      dim: Int): Seq[(String, Array[Float])] =
+    toks.toSeq.map { case (id, ts) => id -> Embeddings.meanVector(ts, vectors, dim) }
 
   /** W2VEC / D2VEC: trained on the two corpora's serialized documents. */
   def trained(
@@ -75,19 +67,14 @@ object EmbedBaselines {
       Embeddings.train(spark, sentDf,
         Embeddings.Config(vectorSize = dim, window = window, minCount = 1, iterations = 1, seed = seed))
     }
+    def idVectors(ids: Iterable[String], isQuery: Boolean) = ids.toSeq.map(id =>
+      id -> vectors.getOrElse(docTokenId(id, isQuery), new Array[Float](dim)))
     val (ranked, testT) = time {
       val (q, c) =
-        if (docIdToken)
-          (spark.createDataset(qTok.keys.toSeq.map(id =>
-              (id, vectors.getOrElse(docTokenId(id, true), new Array[Float](dim)).toSeq)))
-            .toDF("id", "vec"),
-            spark.createDataset(cTok.keys.toSeq.map(id =>
-              (id, vectors.getOrElse(docTokenId(id, false), new Array[Float](dim)).toSeq)))
-            .toDF("id", "vec"))
-        else (embDf(spark, qTok, vectors, dim), embDf(spark, cTok, vectors, dim))
-      Matcher.topK(q, c, k).persist()
+        if (docIdToken) (idVectors(qTok.keys, true), idVectors(cTok.keys, false))
+        else (meanVectors(qTok, vectors, dim), meanVectors(cTok, vectors, dim))
+      Matcher.topK(spark, q, c, k)
     }
-    ranked.count()
     Ranked(ranked, trainT, testT)
   }
 }

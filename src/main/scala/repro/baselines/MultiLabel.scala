@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.Corpus
+import repro.matching.Matcher
 
 /** L-BE* stand-in (paper §V-B): a supervised multi-label classifier over
   * taxonomy concepts, trained on 60% of the annotated documents.
@@ -24,7 +25,6 @@ object MultiLabel {
       taxonomy: Corpus,    // candidates (concepts)
       truthPairs: Seq[(String, String)],
       k: Int): Ranked = {
-    import spark.implicits._
     val t0 = System.nanoTime()
     val dTok = DocTokens.map(spark, docs, markers = false)
     val cTok = DocTokens.map(spark, taxonomy, markers = false)
@@ -51,25 +51,12 @@ object MultiLabel {
     val trainSec = (System.nanoTime() - t0) / 1e9
 
     val t1 = System.nanoTime()
-    def cos(a: Map[String, Double], b: Map[String, Double]): Double = {
-      if (a.isEmpty || b.isEmpty) return 0.0
-      var dot = 0.0
-      val (s, l) = if (a.size < b.size) (a, b) else (b, a)
-      s.foreach { case (t, v) => l.get(t).foreach(w => dot += v * w) }
-      val na = math.sqrt(a.values.map(v => v * v).sum)
-      val nb = math.sqrt(b.values.map(v => v * v).sum)
-      if (na == 0 || nb == 0) 0.0 else dot / (na * nb)
-    }
     val rows = testQ.flatMap { q =>
       val dv = tfidf(dTok(q))
-      centroids.toSeq
-        .map { case (cid, cv) => (cid, cos(dv, cv)) }
-        .sortBy { case (c, s) => (-s, c) }
-        .take(k)
-        .zipWithIndex
-        .map { case ((c, s), i) => (q, c, s, i + 1) }
+      val scored = centroids.iterator.map { case (cid, cv) => (cid, Supervised.sparseCos(dv, cv)) }
+      Matcher.ranks(q, scored, k)
     }
-    val ranked = rows.toIndexedSeq.toDF("queryId", "candId", "sim", "rank")
+    val ranked = Matcher.toDf(spark, rows)
     val testSec = (System.nanoTime() - t1) / 1e9
     Ranked(ranked, trainSec, testSec)
   }

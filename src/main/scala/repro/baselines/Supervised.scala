@@ -7,6 +7,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{Corpus, TextPrep}
 import repro.data.{Pretrained, World}
 import repro.embed.Embeddings
+import repro.matching.Matcher
 import scala.util.Random
 
 /** Supervised baseline stand-ins (paper's RANK*, DITTO*, DEEP-M*, TAPAS*;
@@ -69,7 +70,7 @@ object Supervised {
     tf.map { case (t, f) => t -> f * idfMap.getOrElse(t, 0.0) }
   }
 
-  private def sparseCos(a: Map[String, Double], b: Map[String, Double]): Double = {
+  def sparseCos(a: Map[String, Double], b: Map[String, Double]): Double = {
     if (a.isEmpty || b.isEmpty) return 0.0
     val (small, large) = if (a.size < b.size) (a, b) else (b, a)
     var dot = 0.0
@@ -130,7 +131,6 @@ object Supervised {
       dim: Int = 48,
       seed: Long = 99,
       negPerPos: Int = 5): Ranked = {
-    import spark.implicits._
     val t0 = System.nanoTime()
     val pre  = Pretrained.vectors(spark, world, dim)
     val qTok = DocTokens.map(spark, a)
@@ -172,15 +172,11 @@ object Supervised {
       .flatMap { q =>
         val qv = bcQ.value(q)
         val m = bcM.value
-        bcC.value.toSeq
-          .map { case (c, cv) => (c, m.score(mask(features(qv, cv), m.method))) }
-          .sortBy { case (c, s) => (-s, c) }
-          .take(k)
-          .zipWithIndex
-          .map { case ((c, s), i) => (q, c, s, i + 1) }
+        val scored = bcC.value.iterator.map { case (c, cv) => (c, m.score(mask(features(qv, cv), m.method))) }
+        Matcher.ranks(q, scored, k)
       }
       .collect()
-    val ranked = rankedRows.toIndexedSeq.toDF("queryId", "candId", "sim", "rank")
+    val ranked = Matcher.toDf(spark, rankedRows.toIndexedSeq)
     val testSec = (System.nanoTime() - t1) / 1e9
     Ranked(ranked, trainSec, testSec)
   }

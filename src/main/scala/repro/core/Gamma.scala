@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.embed.Embeddings
+
 /** Calibration of the merge threshold γ (paper §II-C).
   *
   * The paper sets γ to the mean cosine similarity of a 17K-pair WordNet
@@ -9,12 +11,6 @@ package repro.core
   */
 object Gamma {
 
-  private def cosine(a: Array[Float], b: Array[Float]): Double = {
-    var dot = 0.0; var na = 0.0; var nb = 0.0; var i = 0
-    while (i < a.length) { dot += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i); i += 1 }
-    if (na == 0 || nb == 0) 0.0 else dot / math.sqrt(na * nb)
-  }
-
   /** Mean cosine similarity over synonym pairs found in the model's
     * vocabulary; `default` when no pair is covered.
     */
@@ -23,7 +19,7 @@ object Gamma {
       vectors: Map[String, Array[Float]],
       default: Double = 0.57): Double = {
     val sims = synonyms.flatMap { case (a, b) =>
-      for (va <- vectors.get(a); vb <- vectors.get(b)) yield cosine(va, vb)
+      for (va <- vectors.get(a); vb <- vectors.get(b)) yield Embeddings.cosine(va, vb)
     }
     if (sims.isEmpty) default else sims.sum / sims.size
   }

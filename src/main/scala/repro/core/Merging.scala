@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.embed.Embeddings
 
 /** Data-node merging techniques (paper §II-C).
   *
@@ -70,19 +71,13 @@ object Merging {
       .toDF("variant", "canon")
   }
 
-  private def cosine(a: Array[Float], b: Array[Float]): Double = {
-    var dot = 0.0; var na = 0.0; var nb = 0.0; var i = 0
-    while (i < a.length) { dot += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i); i += 1 }
-    if (na == 0 || nb == 0) 0.0 else dot / math.sqrt(na * nb)
-  }
-
   /** Embedding-similarity merging: merge term pairs whose cosine in a
     * pre-trained model exceeds γ (paper: Wikipedia2Vec, γ = 0.57 from a
     * WordNet synonym list — see [[Gamma.calibrate]]). Connected variants
     * collapse to the lexicographically smallest member via union-find.
     *
-    * `vocabVectors` is the pre-trained model restricted to graph terms;
-    * the all-pairs similarity is computed as a distributed self-join.
+    * `vocabVectors` is the pre-trained model; only the terms it covers
+    * take part. All pairs are scored on the driver.
     */
   def gammaMergeMap(
       spark: SparkSession,
@@ -92,18 +87,7 @@ object Merging {
     import spark.implicits._
     val inVocab = terms.select("term").distinct().as[String].collect()
       .filter(vocabVectors.contains).sorted
-    if (inVocab.length < 2) return Seq.empty[(String, String)].toDF("variant", "canon")
-
-    val bc = spark.sparkContext.broadcast(vocabVectors.filter { case (k, _) => inVocab.contains(k) })
-    val idx = spark.createDataset(inVocab.toIndexedSeq).toDF("t")
-    val simPairs = idx.as("l").crossJoin(idx.as("r"))
-      .where(col("l.t") < col("r.t"))
-      .as[(String, String)]
-      .filter { case (l, r) =>
-        val m = bc.value
-        cosine(m(l), m(r)) >= gamma
-      }
-      .collect()
+    val vecs = inVocab.map(vocabVectors)
 
     // Union-find over merged pairs; representative = smallest label.
     val parent = scala.collection.mutable.Map.empty[String, String]
@@ -115,9 +99,9 @@ object Merging {
       val (ra, rb) = (find(a), find(b))
       if (ra != rb) { if (ra < rb) parent(rb) = ra else parent(ra) = rb }
     }
-    simPairs.foreach { case (l, r) => union(l, r) }
+    for (i <- inVocab.indices; j <- i + 1 until inVocab.length)
+      if (Embeddings.cosine(vecs(i), vecs(j)) >= gamma) union(inVocab(i), inVocab(j))
     val mapping = parent.keys.toSeq.map(t => (t, find(t))).filter { case (v, c) => v != c }
-    bc.destroy()
     mapping.toDF("variant", "canon")
   }
 

@@ -37,11 +37,22 @@ object Embeddings {
     w2v.fit(rdd).getVectors
   }
 
-  def cosine(a: Array[Float], b: Array[Float]): Double = {
-    var dot = 0.0; var na = 0.0; var nb = 0.0; var i = 0
-    while (i < a.length) { dot += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i); i += 1 }
-    if (na == 0 || nb == 0) 0.0 else dot / math.sqrt(na * nb)
+  /** Float products summed in double; `dot(a, a)` is the squared norm. */
+  def dot(a: Array[Float], b: Array[Float]): Double = {
+    var s = 0.0; var i = 0
+    while (i < a.length) { s += a(i) * b(i); i += 1 }
+    s
   }
+
+  /** Cosine from a dot product and both squared norms; 0 when either
+    * norm is 0. Callers that score one vector against many compute each
+    * squared norm once and get the same bits as [[cosine]].
+    */
+  def normalise(dot: Double, sqNormA: Double, sqNormB: Double): Double =
+    if (sqNormA == 0 || sqNormB == 0) 0.0 else dot / math.sqrt(sqNormA * sqNormB)
+
+  def cosine(a: Array[Float], b: Array[Float]): Double =
+    normalise(dot(a, b), dot(a, a), dot(b, b))
 
   /** Mean of token vectors — document embedding for baselines (the paper
     * aggregates word vectors for longer texts by averaging [38]).

@@ -1,73 +1,67 @@
 package repro.matching
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import repro.embed.Embeddings
+import scala.collection.mutable
 
 /** Unsupervised metadata-node matching (paper §IV-B).
   *
-  * Given embedding vectors for query documents and candidate documents,
-  * computes the cosine top-k candidates per query with a distributed
-  * cross join + window ranking. Output: `(queryId, candId, sim, rank)`
-  * with rank 1 = most similar.
+  * Exact cosine top-k on the driver: each vector's squared norm is
+  * computed once, every query is scored against every candidate, and
+  * [[ranks]] keeps the k best. Output: `(queryId, candId, sim, rank)`,
+  * per query by `sim` descending then `candId` ascending, rank 1 = most
+  * similar. [[ranks]] is the one top-k selection; the supervised
+  * baselines rank their own scores through it too.
   */
 object Matcher {
 
-  private val cosineUdf = udf { (a: Seq[Float], b: Seq[Float]) =>
-    var dot = 0.0; var na = 0.0; var nb = 0.0; var i = 0
-    while (i < a.length) { dot += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i); i += 1 }
-    if (na == 0 || nb == 0) 0.0 else dot / math.sqrt(na * nb)
-  }
+  /** `(queryId, candId, sim, rank)`. */
+  type Ranked = (String, String, Double, Int)
 
-  /** Build an embedding DataFrame `(id, vec)` from a vocabulary map,
-    * restricted to the given ids; ids missing from the map get the zero
-    * vector (they still receive a deterministic arbitrary ranking).
+  /** Top-k candidates per query by cosine similarity; zero vectors score
+    * 0 against everything, so they rank candidates by id.
     */
-  def embeddingDf(
+  def topK(
       spark: SparkSession,
-      ids: Seq[String],
-      vectors: Map[String, Array[Float]],
-      dim: Int): DataFrame = {
+      queries: Seq[(String, Array[Float])],
+      candidates: Seq[(String, Array[Float])],
+      k: Int): DataFrame = {
+    val cIds = candidates.map(_._1).toArray
+    val cVecs = candidates.map(_._2).toArray
+    val cNorms = cVecs.map(v => Embeddings.dot(v, v))
+    val rows = queries.flatMap { case (q, qv) =>
+      val qNorm = Embeddings.dot(qv, qv)
+      ranks(q, cIds.indices.iterator.map { j =>
+        cIds(j) -> Embeddings.normalise(Embeddings.dot(qv, cVecs(j)), qNorm, cNorms(j))
+      }, k)
+    }
+    toDf(spark, rows)
+  }
+
+  /** The `k` best `(candId, score)` pairs of query `q` as ranked rows:
+    * score descending (Java's total order on doubles), then candidate id
+    * ascending, ranks from 1. A bounded heap holds the k best seen so
+    * far, so the rows equal the first k of a full sort.
+    */
+  def ranks(q: String, scored: Iterator[(String, Double)], k: Int): Seq[Ranked] = {
+    // Head of the heap: the worst pair kept.
+    val heap = mutable.PriorityQueue.empty[(String, Double)](Ordering.fromLessThan(better))
+    scored.foreach { s =>
+      if (heap.size < k) heap.enqueue(s)
+      else if (k > 0 && better(s, heap.head)) { heap.dequeue(); heap.enqueue(s) }
+    }
+    heap.dequeueAll[(String, Double)].reverseIterator.zipWithIndex
+      .map { case ((c, s), i) => (q, c, s, i + 1) }.toSeq
+  }
+
+  private def better(a: (String, Double), b: (String, Double)): Boolean = {
+    val bySim = java.lang.Double.compare(a._2, b._2)
+    if (bySim != 0) bySim > 0 else a._1 < b._1
+  }
+
+  /** Ranked rows as the `(queryId, candId, sim, rank)` DataFrame. */
+  def toDf(spark: SparkSession, rows: Seq[Ranked]): DataFrame = {
     import spark.implicits._
-    ids.map(id => (id, vectors.getOrElse(id, new Array[Float](dim)).toSeq))
-      .toDF("id", "vec")
+    rows.toDF("queryId", "candId", "sim", "rank")
   }
-
-  /** Top-k most similar candidates per query by cosine similarity.
-    * Ties broken by candidate id for determinism.
-    */
-  def topK(queries: DataFrame, candidates: DataFrame, k: Int): DataFrame = {
-    val scored = queries.select(col("id").as("queryId"), col("vec").as("qv"))
-      .crossJoin(candidates.select(col("id").as("candId"), col("vec").as("cv")))
-      .withColumn("sim", cosineUdf(col("qv"), col("cv")))
-    val w = Window.partitionBy("queryId").orderBy(col("sim").desc, col("candId").asc)
-    scored
-      .withColumn("rank", row_number().over(w))
-      .where(col("rank") <= k)
-      .select("queryId", "candId", "sim", "rank")
-  }
-
-  /** Average two score sets (paper §V-F2: combining our cosine scores
-    * with SentenceBERT's improves all scenarios). Both inputs must be
-    * full score matrices `(queryId, candId, sim)`.
-    */
-  def averageScores(a: DataFrame, b: DataFrame, k: Int): DataFrame = {
-    val joined = a.select(col("queryId"), col("candId"), col("sim").as("simA"))
-      .join(b.select(col("queryId"), col("candId"), col("sim").as("simB")),
-        Seq("queryId", "candId"), "outer")
-      .withColumn("sim",
-        (coalesce(col("simA"), lit(0.0)) + coalesce(col("simB"), lit(0.0))) / 2.0)
-    val w = Window.partitionBy("queryId").orderBy(col("sim").desc, col("candId").asc)
-    joined
-      .withColumn("rank", row_number().over(w))
-      .where(col("rank") <= k)
-      .select("queryId", "candId", "sim", "rank")
-  }
-
-  /** Full score matrix (no top-k cut) — input to [[averageScores]]. */
-  def allScores(queries: DataFrame, candidates: DataFrame): DataFrame =
-    queries.select(col("id").as("queryId"), col("vec").as("qv"))
-      .crossJoin(candidates.select(col("id").as("candId"), col("vec").as("cv")))
-      .withColumn("sim", cosineUdf(col("qv"), col("cv")))
-      .select("queryId", "candId", "sim")
 }

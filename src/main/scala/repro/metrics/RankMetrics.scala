@@ -1,7 +1,7 @@
 package repro.metrics
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 
 /** Ranking quality measures used in Tables I, II, IV, V, VI:
   * MRR, MAP@k and HasPositive@k (paper §V-A).
@@ -16,66 +16,18 @@ import org.apache.spark.sql.functions._
 object RankMetrics {
 
   /** Per-query reciprocal rank of the first relevant candidate. */
-  def mrr(ranked: DataFrame, truth: DataFrame): Double = {
-    val queries = truth.select("queryId").distinct()
-    val firstHit = ranked
-      .join(truth, Seq("queryId", "candId"))
-      .groupBy("queryId")
-      .agg(min(col("rank")).as("firstRank"))
-    val rr = queries
-      .join(firstHit, Seq("queryId"), "left")
-      .select(coalesce(lit(1.0) / col("firstRank"), lit(0.0)).as("rr"))
-      .agg(coalesce(avg("rr"), lit(0.0)))
-      .head()
-      .getDouble(0)
-    rr
-  }
+  def mrr(ranked: DataFrame, truth: DataFrame): Double = new Collected(ranked, truth).mrr
 
   /** MAP truncated at rank k:
     * AP@k = Σ_{i≤k, rel(i)} Precision(i) / min(|relevant|, k), averaged
     * over queries. Relevance is the set of distinct truth pairs: a pair
     * the truth lists twice counts once.
     */
-  def mapAtK(ranked: DataFrame, truth: DataFrame, k: Int): Double = {
-    val relevant = truth.select("queryId", "candId").distinct()
-    val queries = relevant.select("queryId").distinct()
-    val nRel = relevant.groupBy("queryId").agg(count("*").as("nRel"))
-    val hits = ranked
-      .where(col("rank") <= k)
-      .join(relevant, Seq("queryId", "candId"))
-    // Precision at each hit position = (#hits with rank ≤ this rank) / rank.
-    val w = org.apache.spark.sql.expressions.Window
-      .partitionBy("queryId").orderBy("rank")
-    val ap = hits
-      .withColumn("hitIdx", row_number().over(w))
-      .withColumn("precAt", col("hitIdx").cast("double") / col("rank"))
-      .groupBy("queryId")
-      .agg(sum("precAt").as("sumPrec"))
-      .join(nRel, Seq("queryId"))
-      .select(col("queryId"), (col("sumPrec") / least(col("nRel"), lit(k))).as("ap"))
-    queries
-      .join(ap, Seq("queryId"), "left")
-      .select(coalesce(col("ap"), lit(0.0)).as("ap"))
-      .agg(coalesce(avg("ap"), lit(0.0)))
-      .head()
-      .getDouble(0)
-  }
+  def mapAtK(ranked: DataFrame, truth: DataFrame, k: Int): Double = new Collected(ranked, truth).mapAtK(k)
 
   /** Fraction of queries with at least one relevant candidate in top-k. */
-  def hasPositiveAtK(ranked: DataFrame, truth: DataFrame, k: Int): Double = {
-    val queries = truth.select("queryId").distinct()
-    val hit = ranked
-      .where(col("rank") <= k)
-      .join(truth, Seq("queryId", "candId"))
-      .select("queryId").distinct()
-      .withColumn("hit", lit(1.0))
-    queries
-      .join(hit, Seq("queryId"), "left")
-      .select(coalesce(col("hit"), lit(0.0)).as("hit"))
-      .agg(coalesce(avg("hit"), lit(0.0)))
-      .head()
-      .getDouble(0)
-  }
+  def hasPositiveAtK(ranked: DataFrame, truth: DataFrame, k: Int): Double =
+    new Collected(ranked, truth).hasPositiveAtK(k)
 
   /** The full measure row used by Tables I/II/IV/V/VI. */
   final case class Row(
@@ -86,14 +38,40 @@ object RankMetrics {
       f"$mrr%.3f ${map1}%.3f ${map5}%.3f ${map20}%.3f ${hp1}%.3f ${hp5}%.3f ${hp20}%.3f"
   }
 
+  /** All seven measures from one collect of each input. */
   def row(ranked: DataFrame, truth: DataFrame): Row = {
-    val r = ranked.persist()
-    val t = truth.persist()
-    val out = Row(
-      mrr(r, t),
-      mapAtK(r, t, 1), mapAtK(r, t, 5), mapAtK(r, t, 20),
-      hasPositiveAtK(r, t, 1), hasPositiveAtK(r, t, 5), hasPositiveAtK(r, t, 20))
-    r.unpersist(); t.unpersist()
-    out
+    val c = new Collected(ranked, truth)
+    Row(c.mrr, c.mapAtK(1), c.mapAtK(5), c.mapAtK(20),
+      c.hasPositiveAtK(1), c.hasPositiveAtK(5), c.hasPositiveAtK(20))
+  }
+
+  /** Both inputs collected to the driver: the distinct relevant
+    * candidates of each truth query, and for each query the ranks of its
+    * ranked rows that are relevant, ascending (one per row).
+    */
+  private final class Collected(ranked: DataFrame, truth: DataFrame) {
+    private val relevant: Map[String, Set[String]] =
+      truth.select("queryId", "candId").collect().toSeq
+        .groupMap(_.getString(0))(_.getString(1)).view.mapValues(_.toSet).toMap
+    private val hitRanks: Map[String, Seq[Long]] =
+      ranked.select(col("queryId"), col("candId"), col("rank").cast("long")).collect().toSeq
+        .filter(r => relevant.get(r.getString(0)).exists(_.contains(r.getString(1))))
+        .groupMap(_.getString(0))(_.getLong(2)).view.mapValues(_.sorted).toMap
+
+    /** Mean of `f` over the truth's queries; 0 when there are none. */
+    private def mean(f: String => Double): Double =
+      if (relevant.isEmpty) 0.0 else relevant.keys.toSeq.map(f).sum / relevant.size
+    private def hits(q: String): Seq[Long] = hitRanks.getOrElse(q, Seq.empty)
+
+    def mrr: Double = mean(q => hits(q).headOption.fold(0.0)(1.0 / _))
+
+    // Precision at the i-th hit (from 1) = i / its rank.
+    def mapAtK(k: Int): Double = mean { q =>
+      val top = hits(q).takeWhile(_ <= k)
+      if (top.isEmpty) 0.0
+      else top.zipWithIndex.map { case (r, i) => (i + 1).toDouble / r }.sum / math.min(relevant(q).size, k)
+    }
+
+    def hasPositiveAtK(k: Int): Double = mean(q => if (hits(q).headOption.exists(_ <= k)) 1.0 else 0.0)
   }
 }

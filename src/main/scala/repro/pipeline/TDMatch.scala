@@ -36,8 +36,7 @@ object TDMatch {
       seed: Long = 42)
 
   /** `graph` is the walked graph, `originalGraph` the base graph; both
-    * live in driver memory. `ranked` is persisted and belongs to the
-    * caller, who unpersists it.
+    * live in driver memory, as do the rows of `ranked`.
     */
   final case class Result(
       graph: Graph,
@@ -90,44 +89,26 @@ object TDMatch {
     val trainSec = (System.nanoTime() - trainStartNanos) / 1e9
 
     val t1 = System.nanoTime()
-    val ranked = TDMatch.rank(spark, a, b, vectors, cfg.vectorSize, cfg.topK).persist()
-    ranked.count()
+    val ranked = TDMatch.rank(spark, a, b, vectors, cfg.vectorSize, cfg.topK)
     val testSec = (System.nanoTime() - t1) / 1e9
     (vectors, ranked, trainSec, testSec)
   }
 
-  /** Rank `b` documents for every `a` document using node vectors. */
+  /** Rank `b` documents for every `a` document by the cosine of their
+    * metadata-node vectors; a document without a vector gets the zero
+    * vector. Ids are raw document ids, deduplicated on the driver: one
+    * scan per corpus and no shuffle.
+    */
   def rank(
       spark: SparkSession,
       a: Corpus, b: Corpus,
       vectors: Map[String, Array[Float]],
       dim: Int,
       topK: Int): DataFrame = {
-    import org.apache.spark.sql.functions._
-    val qIds = a.units.select("docId").distinct().collect().map(r => Graph.metaId1(r.getString(0)))
-    val cIds = b.units.select("docId").distinct().collect().map(r => Graph.metaId2(r.getString(0)))
-    val queries    = Matcher.embeddingDf(spark, qIds.toIndexedSeq, vectors, dim)
-    val candidates = Matcher.embeddingDf(spark, cIds.toIndexedSeq, vectors, dim)
-    Matcher.topK(queries, candidates, topK)
-      .withColumn("queryId", expr("substring(queryId, 5)"))
-      .withColumn("candId", expr("substring(candId, 5)"))
-  }
-
-  /** Full similarity matrix over raw ids (for score averaging with a
-    * pretrained baseline, paper §V-F2).
-    */
-  def scores(
-      spark: SparkSession,
-      a: Corpus, b: Corpus,
-      vectors: Map[String, Array[Float]],
-      dim: Int): DataFrame = {
-    import org.apache.spark.sql.functions._
-    val qIds = a.units.select("docId").distinct().collect().map(r => Graph.metaId1(r.getString(0)))
-    val cIds = b.units.select("docId").distinct().collect().map(r => Graph.metaId2(r.getString(0)))
-    val queries    = Matcher.embeddingDf(spark, qIds.toIndexedSeq, vectors, dim)
-    val candidates = Matcher.embeddingDf(spark, cIds.toIndexedSeq, vectors, dim)
-    Matcher.allScores(queries, candidates)
-      .withColumn("queryId", expr("substring(queryId, 5)"))
-      .withColumn("candId", expr("substring(candId, 5)"))
+    val zero = new Array[Float](dim)
+    def docs(c: Corpus, metaId: String => String): Seq[(String, Array[Float])] =
+      c.units.select("docId").collect().map(_.getString(0)).distinct.sorted.toSeq
+        .map(id => id -> vectors.getOrElse(metaId(id), zero))
+    Matcher.topK(spark, docs(a, Graph.metaId1), docs(b, Graph.metaId2), topK)
   }
 }

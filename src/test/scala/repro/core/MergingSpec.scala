@@ -102,6 +102,30 @@ class MergingSpec extends SparkSpec {
       .collect().map(r => (r.getString(0), r.getString(1))).toMap
     // a~b and b~c merge; a~c is below γ but joins via union-find
     assert(m("b") == "a" && m("c") == "a")
+
+    // Seeded random vectors, some terms out of vocabulary: the map equals
+    // the connected components of all pairs at or above γ, each member
+    // mapped to its component's smallest term.
+    val rnd = new scala.util.Random(5)
+    val random = (0 until 60).map(i => f"t$i%02d" -> Array.fill(3)(rnd.nextGaussian().toFloat)).toMap
+    val all = random.keys.toSeq.sorted ++ Seq("oov1", "oov2")
+    val gamma = 0.97
+    val got = Merging.gammaMergeMap(spark, all.toDF("term"), random, gamma)
+      .collect().map(r => (r.getString(0), r.getString(1))).toSet
+    val inVocab = all.filter(random.contains)
+    val linked = for (x <- inVocab; y <- inVocab if x != y &&
+      repro.embed.Embeddings.cosine(random(x), random(y)) >= gamma) yield (x, y)
+    def component(t: String): Set[String] = {
+      var seen = Set(t); var frontier = Set(t)
+      while (frontier.nonEmpty) {
+        frontier = linked.collect { case (x, y) if frontier(x) && !seen(y) => y }.toSet
+        seen ++= frontier
+      }
+      seen
+    }
+    val expected = inVocab.map(t => (t, component(t).min)).filter { case (v, c) => v != c }.toSet
+    assert(expected.nonEmpty && expected.size < inVocab.size - 1)
+    assert(got == expected)
   }
 
   // ---- compose -----------------------------------------------------------

@@ -79,10 +79,17 @@ class TDMatchSpec extends SparkSpec {
     val left = spark.sparkContext.getPersistentRDDs.keySet.toSet -- before
     assert(left.isEmpty, s"persisted RDDs left: ${left.size}")
   }
-  test("scores emits a full matrix compatible with averageScores") {
-    val s = TDMatch.scores(spark, sc.queries, sc.candidates, result.vectors, cfg.vectorSize)
-    assert(s.count() == 30L * 15L)
-    assert(s.columns.toSet == Set("queryId", "candId", "sim"))
+  test("a query without a vector ranks candidates by id at sim 0") {
+    val q = sc.queries.units.select("docId").distinct().head().getString(0)
+    val nCands = sc.candidates.units.select("docId").distinct().count().toInt
+    val k = nCands + 5
+    val rows = TDMatch.rank(spark, sc.queries, sc.candidates, result.vectors - s"m1::$q", cfg.vectorSize, k)
+      .where(col("queryId") === q).collect().sortBy(_.getInt(3))
+    assert(rows.length == math.min(k, nCands))
+    assert(rows.map(_.getInt(3)).toSeq == (1 to rows.length))
+    assert(rows.forall(_.getDouble(2) == 0.0))
+    val ids = rows.map(_.getString(1)).toSeq
+    assert(ids == ids.sorted)
   }
   test("pipeline is deterministic in seed at the ranking level") {
     val r2 = TDMatch.run(spark, sc.queries, sc.candidates, cfg)
