@@ -23,6 +23,14 @@ sealed trait Corpus {
   /** `(docId, unit, attr)` — attr is null for non-table corpora. */
   def units: DataFrame
 
+  /** Sorted distinct document ids of [[units]], collected once and kept on
+    * the driver: a corpus is immutable, so its ids hold for its whole
+    * life. A document without a unit (a tuple whose cells are all null or
+    * blank, a null text) has no id here and so no metadata node.
+    */
+  lazy val docIds: IndexedSeq[String] =
+    units.select("docId").collect().map(_.getString(0)).distinct.sorted.toIndexedSeq
+
   /** `(child, parent)` doc-id pairs for structured text; empty otherwise. */
   def hierarchy(spark: SparkSession): DataFrame = {
     import spark.implicits._

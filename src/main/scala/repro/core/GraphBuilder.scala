@@ -42,7 +42,9 @@ object GraphBuilder {
 
   /** Build the graph for corpora A and B. Doc-term extraction, the merge
     * map and the other corpus's term filter run in Spark; the nodes and
-    * edges they give are collected once into a [[Graph]].
+    * edges they give are collected once into a [[Graph]]. Metadata nodes
+    * come from each corpus's [[Corpus.docIds]], so a later
+    * `TDMatch.rank` on the same corpora finds the ids already known.
     */
   def build(spark: SparkSession, a: Corpus, b: Corpus, cfg: Config = Config()): Graph = {
     val dtA = applyMerge(a.docTerms(spark, cfg.maxN), cfg.mergeMap)
@@ -67,9 +69,8 @@ object GraphBuilder {
     def meta(prefix: String): Column = concat(lit(prefix), col("docId"))
     val attr = concat(lit("attr::"), col("attr"))
 
-    def docRows(c: Corpus, dt: DataFrame, prefix: String, kind: String): Seq[DataFrame] = {
+    def docRows(c: Corpus, dt: DataFrame, prefix: String): Seq[DataFrame] = {
       val rows = Seq(
-        c.units.select(node(meta(prefix), kind): _*),
         dt.select(edge(meta(prefix), col("term")): _*),
         c.hierarchy(spark).select(
           edge(concat(lit(prefix), col("child")), concat(lit(prefix), col("parent"))): _*))
@@ -83,12 +84,15 @@ object GraphBuilder {
     }
 
     val rows = (dtSeed.select(node(col("term"), Kind.Term): _*) +:
-        (docRows(a, dtAKept, "m1::", Kind.Meta1) ++ docRows(b, dtBKept, "m2::", Kind.Meta2)))
+        (docRows(a, dtAKept, "m1::") ++ docRows(b, dtBKept, "m2::")))
       .reduce(_ union _)
       .collect()
     val (nodeRows, edgeRows) = rows.partition(r => !r.isNullAt(2))
+    // Metadata nodes: one per document id, read on the driver.
+    val metaNodes = a.docIds.map(id => (Graph.metaId1(id), Kind.Meta1)) ++
+      b.docIds.map(id => (Graph.metaId2(id), Kind.Meta2))
     Graph.of(
-      nodeRows.map(r => (r.getString(0), r.getString(2))),
+      nodeRows.map(r => (r.getString(0), r.getString(2))) ++ metaNodes,
       edgeRows.map(r => (r.getString(0), r.getString(1))))
   }
 }

@@ -96,8 +96,9 @@ object TDMatch {
 
   /** Rank `b` documents for every `a` document by the cosine of their
     * metadata-node vectors; a document without a vector gets the zero
-    * vector. Ids are raw document ids, deduplicated on the driver: one
-    * scan per corpus and no shuffle.
+    * vector. Ids are the corpora's [[Corpus.docIds]]: once those are
+    * known, as after [[run]], the call runs on the driver and starts no
+    * Spark job.
     */
   def rank(
       spark: SparkSession,
@@ -107,8 +108,7 @@ object TDMatch {
       topK: Int): DataFrame = {
     val zero = new Array[Float](dim)
     def docs(c: Corpus, metaId: String => String): Seq[(String, Array[Float])] =
-      c.units.select("docId").collect().map(_.getString(0)).distinct.sorted.toSeq
-        .map(id => id -> vectors.getOrElse(metaId(id), zero))
+      c.docIds.map(id => id -> vectors.getOrElse(metaId(id), zero))
     Matcher.topK(spark, docs(a, Graph.metaId1), docs(b, Graph.metaId2), topK)
   }
 }

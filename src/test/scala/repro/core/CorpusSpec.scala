@@ -89,6 +89,27 @@ class CorpusSpec extends SparkSpec {
     assert(tax.hierarchy(spark).count() == 2)
     assert(tax.units.count() == 3)
   }
+  test("docIds are the sorted distinct unit ids, read once") {
+    import spark.implicits._
+    // t0: every cell null or blank; p0: null text; c9: null concept text.
+    // None of them has a unit, so none has an id (or a metadata node).
+    val t = Seq(("t2", "b", "x"), ("t0", null.asInstanceOf[String], " "), ("t1", "a", null))
+      .toDF("docId", "a", "b")
+    val p = Seq(("p2", "one. two"), ("p0", null.asInstanceOf[String]), ("p1", "three"))
+      .toDF("docId", "text")
+    val c = Seq(("c1", "child", "c0"), ("c9", null.asInstanceOf[String], "c0"),
+      ("c0", "root", null.asInstanceOf[String])).toDF("docId", "text", "parent")
+    val cases = Seq(
+      TableCorpus("t", t, "docId") -> Seq("t1", "t2"),
+      TextCorpus("p", p) -> Seq("p1", "p2"),
+      TaxonomyCorpus("c", c) -> Seq("c0", "c1"))
+    cases.foreach { case (corpus, expected) =>
+      val fromUnits = corpus.units.select("docId").distinct().collect().map(_.getString(0)).sorted.toSeq
+      assert(corpus.docIds == fromUnits)
+      assert(corpus.docIds == expected)
+      assert(corpus.docIds eq corpus.docIds)
+    }
+  }
   test("plain corpora have empty hierarchy") {
     assert(tc.hierarchy(spark).count() == 0)
     assert(pc.hierarchy(spark).count() == 0)

@@ -1,8 +1,10 @@
 package repro.pipeline
 
+import org.apache.spark.SparkJobs
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, IntegerType, StringType}
 import repro.SparkSpec
-import repro.core.{Kind, Merging}
+import repro.core.{Kind, Merging, TextCorpus}
 import repro.data.Scenarios
 import repro.metrics.RankMetrics
 
@@ -90,6 +92,26 @@ class TDMatchSpec extends SparkSpec {
     assert(rows.forall(_.getDouble(2) == 0.0))
     val ids = rows.map(_.getString(1)).toSeq
     assert(ids == ids.sorted)
+  }
+  test("a repeat rank call starts no Spark job and returns the same rows") {
+    def ranked() = TDMatch.rank(spark, sc.queries, sc.candidates, result.vectors, cfg.vectorSize, cfg.topK)
+      .collect().map(r => (r.getString(0), r.getString(1),
+        java.lang.Double.doubleToRawLongBits(r.getDouble(2)), r.getInt(3))).toSeq
+    val first = ranked()
+    val (second, jobs) = SparkJobs.count(spark.sparkContext)(ranked())
+    assert(jobs == 0)
+    assert(second == first)
+    assert(first.size == sc.queries.docIds.size * cfg.topK)
+  }
+  test("an empty query or candidate corpus ranks nothing") {
+    import spark.implicits._
+    val empty = TextCorpus("empty", Seq.empty[(String, String)].toDF("docId", "text"))
+    Seq((empty, sc.candidates), (sc.queries, empty)).foreach { case (a, b) =>
+      val r = TDMatch.rank(spark, a, b, result.vectors, cfg.vectorSize, cfg.topK)
+      assert(r.schema.map(f => f.name -> f.dataType) == Seq(
+        "queryId" -> StringType, "candId" -> StringType, "sim" -> DoubleType, "rank" -> IntegerType))
+      assert(r.collect().isEmpty)
+    }
   }
   test("pipeline is deterministic in seed at the ranking level") {
     val r2 = TDMatch.run(spark, sc.queries, sc.candidates, cfg)
