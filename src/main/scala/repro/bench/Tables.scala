@@ -37,7 +37,9 @@ object Tables {
   // ------------------------------------------------------------ utilities
 
   /** Merge map per paper §II-C: lexical dictionary always; FD bucketing
-    * for numeric-heavy corpora; embedding-γ merge with calibrated γ.
+    * for numeric-heavy corpora; embedding-γ merge with calibrated γ. Built
+    * on the driver from the corpora's [[repro.core.Corpus.terms]], which
+    * the graph build then reuses; the result is a local relation.
     */
   def mergeFor(
       spark: SparkSession,
@@ -45,17 +47,18 @@ object Tables {
       useGamma: Boolean,
       useBuckets: Boolean,
       bench: Bench = Default): Option[DataFrame] = {
-    val maps = scala.collection.mutable.ListBuffer.empty[DataFrame]
-    if (sc.mergeDict.nonEmpty) maps += Merging.dictionaryMap(spark, sc.mergeDict)
-    lazy val termsA = sc.queries.docTerms(spark, bench.maxN).select("term")
-    lazy val termsB = sc.candidates.docTerms(spark, bench.maxN).select("term")
-    if (useBuckets) maps += Merging.numericBucketMap(spark, termsA, termsB)
+    import spark.implicits._
+    val maps = scala.collection.mutable.ListBuffer.empty[Seq[(String, String)]]
+    if (sc.mergeDict.nonEmpty) maps += Merging.dictionaryMap(sc.mergeDict)
+    lazy val terms = (sc.queries.terms(bench.maxN).rows ++ sc.candidates.terms(bench.maxN).rows)
+      .map(_._3).distinct
+    if (useBuckets) maps += Merging.numericBucketMap(terms)
     if (useGamma) {
       val pre = Pretrained.vectors(spark, sc.world, bench.dim)
       val gamma = Gamma.calibrate(sc.world.synonymPairsStemmed, pre)
-      maps += Merging.gammaMergeMap(spark, termsA.union(termsB).distinct(), pre, gamma)
+      maps += Merging.gammaMergeMap(terms, pre, gamma)
     }
-    if (maps.isEmpty) None else Some(Merging.compose(spark, maps.toSeq: _*))
+    if (maps.isEmpty) None else Some(Merging.compose(maps.toSeq: _*).toDF("variant", "canon"))
   }
 
   def cfgFor(sc: Scenario, merge: Option[DataFrame], expand: Boolean, bench: Bench): TDMatch.Config =
@@ -68,8 +71,9 @@ object Tables {
       topK = bench.topK, seed = bench.seed)
 
   /** Runs W-RW (optionally with expansion) and returns the TDMatch result.
-    * `precomputedMerge` avoids re-deriving the merge map (the γ-merge
-    * self-join is the expensive part) when both W-RW and W-RW-EX run.
+    * `precomputedMerge` avoids re-deriving the merge map (the γ merge
+    * scores every pair of in-vocabulary terms) when both W-RW and W-RW-EX
+    * run.
     */
   def wrw(spark: SparkSession, sc: Scenario, expand: Boolean,
           useGamma: Boolean = true, useBuckets: Boolean = false,
@@ -109,7 +113,7 @@ object Tables {
     val truthPairs = truth.collect().map(r => (r.getString(0), r.getString(1))).toSeq
 
     val sbe = EmbedBaselines.sbe(spark, sc.world, sc.queries, sc.candidates, bench.topK, bench.dim)
-    val merge = mergeFor(spark, sc, useGamma, useBuckets, bench).map(_.persist())
+    val merge = mergeFor(spark, sc, useGamma, useBuckets, bench)
     val rw = wrw(spark, sc, expand = false, useGamma, useBuckets, bench, Some(merge))
     val rwEx = wrw(spark, sc, expand = true, useGamma, useBuckets, bench, Some(merge))
 

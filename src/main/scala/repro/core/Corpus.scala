@@ -39,22 +39,50 @@ sealed trait Corpus {
 
   def isTable: Boolean = false
 
-  /** `(docId, term)` pairs after preprocessing, distinct per document. */
+  private val termsByMaxN = scala.collection.mutable.Map.empty[Int, Corpus.Terms]
+
+  /** The corpus's terms at `maxN`, tokenised once in one narrow Spark job
+    * and then kept on the driver: a corpus is immutable, so they hold for
+    * its whole life.
+    */
+  def terms(maxN: Int): Corpus.Terms =
+    synchronized(termsByMaxN.getOrElseUpdate(maxN, Corpus.Terms.of(units, maxN)))
+
+  /** [[terms]]`(maxN).rows` as a DataFrame `(docId, attr, term)`. */
   def docTerms(spark: SparkSession, maxN: Int): DataFrame = {
-    val termsUdf = udf((s: String) => TextPrep.terms(s, maxN))
-    units
-      .select(col("docId"), col("attr"), explode(termsUdf(col("unit"))).as("term"))
-      .select("docId", "attr", "term")
-      .distinct()
+    import spark.implicits._
+    terms(maxN).rows.toDF("docId", "attr", "term")
   }
 
   /** Number of distinct unigram tokens — used to pick the first corpus in
     * graph creation (paper §II-B: the corpus with fewer distinct tokens
-    * seeds the data nodes).
+    * seeds the data nodes). Read from [[terms]]`(maxN)`, whose unigrams are
+    * the same at every `maxN`: tokens never contain `_`.
     */
-  def distinctTokenCount(spark: SparkSession): Long = {
-    val tokUdf = udf((s: String) => TextPrep.terms1(s))
-    units.select(explode(tokUdf(col("unit"))).as("tok")).distinct().count()
+  def distinctTokenCount(maxN: Int): Int =
+    terms(maxN).rows.iterator.map(_._3).filterNot(_.contains('_')).distinct.size
+}
+
+object Corpus {
+
+  /** A corpus's terms at one `maxN`: the distinct `(docId, attr, term)`
+    * rows of [[TextPrep.terms]] over each unit, and the distinct attributes
+    * of its units, a unit without terms (an all-stop-word cell) included.
+    * `attr` is null outside tables.
+    */
+  final case class Terms(rows: IndexedSeq[(String, String, String)], attrs: IndexedSeq[String])
+
+  object Terms {
+    /** One narrow job over `units`; the deduplication runs on the driver. */
+    def of(units: DataFrame, maxN: Int): Terms = {
+      import units.sparkSession.implicits._
+      val perUnit = units.select("docId", "attr", "unit").as[(String, String, String)]
+        .mapPartitions(_.map { case (docId, attr, unit) => (docId, attr, TextPrep.terms(unit, maxN)) })
+        .collect()
+      Terms(
+        perUnit.iterator.flatMap { case (docId, attr, ts) => ts.map((docId, attr, _)) }.distinct.toIndexedSeq,
+        perUnit.iterator.map(_._2).filter(_ != null).distinct.toIndexedSeq)
+    }
   }
 }
 

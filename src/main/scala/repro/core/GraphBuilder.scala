@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Graph creation (paper Algorithm 1 + §II-A/B/C/D).
   *
@@ -27,72 +26,44 @@ object GraphBuilder {
       autoOrder: Boolean = true,
   )
 
-  /** Apply a term-merge mapping to a `(docId, attr, term)` DataFrame. */
-  private def applyMerge(dt: DataFrame, mergeMap: Option[DataFrame]): DataFrame =
-    mergeMap match {
-      case None => dt
-      case Some(m) =>
-        dt.join(m.withColumnRenamed("variant", "term"), Seq("term"), "left")
-          .select(
-            col("docId"),
-            col("attr"),
-            coalesce(col("canon"), col("term")).as("term"))
-          .distinct()
-    }
-
-  /** Build the graph for corpora A and B. Doc-term extraction, the merge
-    * map and the other corpus's term filter run in Spark; the nodes and
-    * edges they give are collected once into a [[Graph]]. Metadata nodes
-    * come from each corpus's [[Corpus.docIds]], so a later
-    * `TDMatch.rank` on the same corpora finds the ids already known.
+  /** Build the graph for corpora A and B on the driver, from each corpus's
+    * [[Corpus.terms]] (tokenised once per corpus and `maxN`) and the merge
+    * map, collected once. Metadata nodes come from each corpus's
+    * [[Corpus.docIds]], so a later `TDMatch.rank` on the same corpora finds
+    * the ids already known; a repeat build on the same corpora starts no
+    * Spark job while the merge map is a local relation.
     */
   def build(spark: SparkSession, a: Corpus, b: Corpus, cfg: Config = Config()): Graph = {
-    val dtA = applyMerge(a.docTerms(spark, cfg.maxN), cfg.mergeMap)
-    val dtB = applyMerge(b.docTerms(spark, cfg.maxN), cfg.mergeMap)
+    // A variant listed with several canons yields each of them, as a join would.
+    val merge: Map[String, Seq[String]] = cfg.mergeMap.fold(Map.empty[String, Seq[String]])(
+      _.select("variant", "canon").collect().toSeq
+        .groupMap(_.getString(0))(_.getString(1)))
+    def merged(c: Corpus): IndexedSeq[(String, String, String)] =
+      c.terms(cfg.maxN).rows.flatMap { case (docId, attr, term) =>
+        merge.getOrElse(term, Seq(term)).map((docId, attr, _))
+      }.distinct
+    val (dtA, dtB) = (merged(a), merged(b))
 
     // §II-B: data nodes come from the corpus with fewer distinct tokens.
     val aSeeds =
-      !cfg.autoOrder || a.distinctTokenCount(spark) <= b.distinctTokenCount(spark)
-    val (dtSeed, dtOther) = if (aSeeds) (dtA, dtB) else (dtB, dtA)
+      !cfg.autoOrder || a.distinctTokenCount(cfg.maxN) <= b.distinctTokenCount(cfg.maxN)
+    val seedTerms = (if (aSeeds) dtA else dtB).map(_._3).toSet
 
-    // Second corpus keeps only terms already present in the graph.
-    val dtOtherKept = dtOther.join(dtSeed.select("term"), Seq("term"), "left_semi")
-
-    val (dtAKept, dtBKept) = if (aSeeds) (dtSeed, dtOtherKept) else (dtOtherKept, dtSeed)
-
-    // Nodes are `(id, null, kind)` rows and edges `(src, dst, null)` rows of
-    // one DataFrame; `Graph.of` drops the repeats.
-    def node(id: Column, kind: String): Seq[Column] =
-      Seq(id, lit(null).cast("string"), lit(kind))
-    def edge(src: Column, dst: Column): Seq[Column] =
-      Seq(src, dst, lit(null).cast("string"))
-    def meta(prefix: String): Column = concat(lit(prefix), col("docId"))
-    val attr = concat(lit("attr::"), col("attr"))
-
-    def docRows(c: Corpus, dt: DataFrame, prefix: String): Seq[DataFrame] = {
-      val rows = Seq(
-        dt.select(edge(meta(prefix), col("term")): _*),
-        c.hierarchy(spark).select(
-          edge(concat(lit(prefix), col("child")), concat(lit(prefix), col("parent"))): _*))
-      if (!c.isTable) rows
-      else {
-        val withAttr = col("attr").isNotNull
-        rows ++ Seq(
-          c.units.where(withAttr).select(node(attr, Kind.Attr): _*),
-          dt.where(withAttr).select(edge(attr, col("term")): _*))
-      }
+    // The second corpus keeps only terms already present in the graph;
+    // on the seeding corpus that filter keeps every row.
+    def edges(c: Corpus, dt: IndexedSeq[(String, String, String)], meta: String => String)
+        : Iterator[(String, String)] = {
+      val kept = dt.filter(r => seedTerms(r._3))
+      kept.iterator.map { case (docId, _, term) => (meta(docId), term) } ++
+        kept.iterator.collect { case (_, attr, term) if attr != null => (Graph.attrId(attr), term) } ++
+        c.hierarchy(spark).collect().iterator.map(r => (meta(r.getString(0)), meta(r.getString(1))))
     }
+    def attrNodes(c: Corpus): Seq[(String, String)] =
+      c.terms(cfg.maxN).attrs.map(at => (Graph.attrId(at), Kind.Attr))
 
-    val rows = (dtSeed.select(node(col("term"), Kind.Term): _*) +:
-        (docRows(a, dtAKept, "m1::") ++ docRows(b, dtBKept, "m2::")))
-      .reduce(_ union _)
-      .collect()
-    val (nodeRows, edgeRows) = rows.partition(r => !r.isNullAt(2))
-    // Metadata nodes: one per document id, read on the driver.
-    val metaNodes = a.docIds.map(id => (Graph.metaId1(id), Kind.Meta1)) ++
+    val nodes = seedTerms.toSeq.map((_, Kind.Term)) ++ attrNodes(a) ++ attrNodes(b) ++
+      a.docIds.map(id => (Graph.metaId1(id), Kind.Meta1)) ++
       b.docIds.map(id => (Graph.metaId2(id), Kind.Meta2))
-    Graph.of(
-      nodeRows.map(r => (r.getString(0), r.getString(2))) ++ metaNodes,
-      edgeRows.map(r => (r.getString(0), r.getString(1))))
+    Graph.of(nodes, (edges(a, dtA, Graph.metaId1) ++ edges(b, dtB, Graph.metaId2)).toSeq)
   }
 }

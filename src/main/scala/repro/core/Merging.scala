@@ -1,12 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.embed.Embeddings
 
 /** Data-node merging techniques (paper §II-C).
   *
-  * Each technique produces a `(variant, canon)` mapping DataFrame that
+  * Each technique produces `(variant, canon)` pairs, built on the driver
+  * from terms the corpora already hold there ([[Corpus.terms]]), that
   * [[GraphBuilder]] applies to document terms before building nodes and
   * edges. Stemming-based merging is inherent in [[TextPrep.stem]].
   */
@@ -31,29 +30,18 @@ object Merging {
     * computed over the distinct numeric values observed across corpora.
     * Each numeric term maps to a bucket node `num⟨i⟩` where `i` is the
     * bucket index from the global minimum.
-    *
-    * `docTerms` DataFrames are only read for their `term` column.
     */
-  def numericBucketMap(spark: SparkSession, termDfs: DataFrame*): DataFrame = {
-    import spark.implicits._
-    val isNum = udf((s: String) => TextPrep.isNumeric(s))
-    val nums = termDfs
-      .map(_.select(col("term")))
-      .reduce(_ union _)
-      .distinct()
-      .where(isNum(col("term")))
-      .as[String]
-      .collect()
-      .toSeq
+  def numericBucketMap(terms: Iterable[String]): Seq[(String, String)] = {
+    val nums = terms.iterator.filter(TextPrep.isNumeric).distinct.toSeq
     val vals = nums.map(_.toDouble)
-    if (vals.size < 2) return Seq.empty[(String, String)].toDF("variant", "canon")
+    if (vals.size < 2) return Seq.empty
     val width = fdBinWidth(vals.distinct)
-    if (width <= 0) return Seq.empty[(String, String)].toDF("variant", "canon")
+    if (width <= 0) return Seq.empty
     val lo = vals.min
     nums.map { t =>
       val idx = math.floor((t.toDouble - lo) / width).toLong
       (t, s"num<$idx>")
-    }.toDF("variant", "canon")
+    }
   }
 
   /** Dictionary-based merging (synonyms, acronyms, typos from an external
@@ -61,14 +49,12 @@ object Merging {
     * corpus text so that variants meet graph terms in stemmed n-gram form.
     * Multi-token entries are rendered with `_` separators.
     */
-  def dictionaryMap(spark: SparkSession, pairs: Seq[(String, String)]): DataFrame = {
-    import spark.implicits._
+  def dictionaryMap(pairs: Seq[(String, String)]): Seq[(String, String)] = {
     def norm(s: String): String = TextPrep.terms1(s).mkString("_")
     pairs
       .map { case (v, c) => (norm(v), norm(c)) }
       .filter { case (v, c) => v.nonEmpty && c.nonEmpty && v != c }
       .distinct
-      .toDF("variant", "canon")
   }
 
   /** Embedding-similarity merging: merge term pairs whose cosine in a
@@ -80,13 +66,10 @@ object Merging {
     * take part. All pairs are scored on the driver.
     */
   def gammaMergeMap(
-      spark: SparkSession,
-      terms: DataFrame,
+      terms: Iterable[String],
       vocabVectors: Map[String, Array[Float]],
-      gamma: Double): DataFrame = {
-    import spark.implicits._
-    val inVocab = terms.select("term").distinct().as[String].collect()
-      .filter(vocabVectors.contains).sorted
+      gamma: Double): Seq[(String, String)] = {
+    val inVocab = terms.iterator.filter(vocabVectors.contains).distinct.toArray.sorted
     val vecs = inVocab.map(vocabVectors)
 
     // Union-find over merged pairs; representative = smallest label.
@@ -101,23 +84,17 @@ object Merging {
     }
     for (i <- inVocab.indices; j <- i + 1 until inVocab.length)
       if (Embeddings.cosine(vecs(i), vecs(j)) >= gamma) union(inVocab(i), inVocab(j))
-    val mapping = parent.keys.toSeq.map(t => (t, find(t))).filter { case (v, c) => v != c }
-    mapping.toDF("variant", "canon")
+    parent.keys.toSeq.map(t => (t, find(t))).filter { case (v, c) => v != c }
   }
 
   /** Compose several merge maps, resolving chains (variant → mid → canon). */
-  def compose(spark: SparkSession, maps: DataFrame*): DataFrame = {
-    import spark.implicits._
-    val all = maps.map(_.select("variant", "canon")).reduceOption(_ union _)
-      .map(_.as[(String, String)].collect().toSeq)
-      .getOrElse(Seq.empty)
-    val m = scala.collection.mutable.Map(all: _*)
+  def compose(maps: Seq[(String, String)]*): Seq[(String, String)] = {
+    val m = scala.collection.mutable.Map(maps.flatten: _*)
     def resolve(t: String, seen: Set[String]): String =
       m.get(t) match {
         case Some(c) if !seen(c) => resolve(c, seen + t)
         case _                   => t
       }
     m.keys.toSeq.map(v => (v, resolve(v, Set(v)))).filter { case (v, c) => v != c }
-      .toDF("variant", "canon")
   }
 }

@@ -79,7 +79,7 @@ class CorpusSpec extends SparkSpec {
   test("distinctTokenCount counts stemmed unigrams") {
     // movies table tokens: sixth, sens, pulp, fiction, shyamalan,
     // tarantino, thriller, drama
-    assert(tc.distinctTokenCount(spark) == 8)
+    assert(tc.distinctTokenCount(1) == 8)
   }
   test("taxonomy corpus: hierarchy edges") {
     import spark.implicits._
@@ -108,6 +108,27 @@ class CorpusSpec extends SparkSpec {
       assert(corpus.docIds == fromUnits)
       assert(corpus.docIds == expected)
       assert(corpus.docIds eq corpus.docIds)
+    }
+  }
+  test("terms are each unit's TextPrep.terms, deduplicated, and read once") {
+    import spark.implicits._
+    // `b` of t1 holds only stop-words: attribute b, but no term.
+    val t = Seq(("t1", "sixth sense sixth", "the of"), ("t2", "sense", "pulp fiction"))
+      .toDF("docId", "a", "b")
+    val p = Seq(("p1", "willis rocks. willis rocks"), ("p2", "a bland film; bland film"))
+      .toDF("docId", "text")
+    val c = Seq(("c0", "audit programme audit", null.asInstanceOf[String]), ("c1", "audit", "c0"))
+      .toDF("docId", "text", "parent")
+    Seq(TableCorpus("t", t, "docId"), TextCorpus("p", p), TaxonomyCorpus("c", c)).foreach { corpus =>
+      val units = corpus.units.select("docId", "attr", "unit").collect()
+        .map(r => (r.getString(0), r.getString(1), r.getString(2))).toSeq
+      Seq(1, 2).foreach { maxN =>
+        val expected = units.flatMap { case (d, a, u) => TextPrep.terms(u, maxN).map((d, a, _)) }.distinct
+        val got = corpus.terms(maxN)
+        assert(got.rows.size == expected.size && got.rows.toSet == expected.toSet)
+        assert(got.attrs.sorted == units.map(_._2).filter(_ != null).distinct.sorted)
+        assert(corpus.terms(maxN) eq got)
+      }
     }
   }
   test("plain corpora have empty hierarchy") {

@@ -1,7 +1,11 @@
 package repro.core
 
+import org.apache.spark.SparkJobs
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.bench.Tables
+import repro.data.Scenarios
 
 /** Algorithm 1 behavior on an Example-1-like fixture (movies + reviews). */
 class GraphBuilderSpec extends SparkSpec {
@@ -143,5 +147,104 @@ class GraphBuilderSpec extends SparkSpec {
     val (reviews, movies) = fixture
     val g2 = GraphBuilder.build(spark, reviews, movies, GraphBuilder.Config(maxN = 2))
     assert(g2.numNodes == g.numNodes && g2.numEdges == g.numEdges)
+  }
+
+  /** Algorithm 1 in SQL over the doc terms, units and hierarchy of both
+    * corpora and the merge map `mm`: merge join, distinct, seeding by fewer
+    * distinct unigrams (§II-B), the other corpus's semi-join on the seed
+    * terms, then term, metadata, attribute and hierarchy nodes and edges.
+    * An edge needs both ends to be nodes.
+    */
+  private val algorithm1Sql =
+    """WITH
+      |ma AS (SELECT DISTINCT d.docId, d.attr, COALESCE(m.canon, d.term) AS term
+      |       FROM dtA d LEFT JOIN mm m ON d.term = m.variant),
+      |mb AS (SELECT DISTINCT d.docId, d.attr, COALESCE(m.canon, d.term) AS term
+      |       FROM dtB d LEFT JOIN mm m ON d.term = m.variant),
+      |toks AS (SELECT (SELECT COUNT(DISTINCT term) FROM dtA WHERE strpos(term, '_') = 0)
+      |             <= (SELECT COUNT(DISTINCT term) FROM dtB WHERE strpos(term, '_') = 0) AS aSeeds),
+      |seed AS (SELECT term FROM ma WHERE (SELECT aSeeds FROM toks)
+      |         UNION SELECT term FROM mb WHERE NOT (SELECT aSeeds FROM toks)),
+      |ka AS (SELECT * FROM ma WHERE term IN (SELECT term FROM seed)),
+      |kb AS (SELECT * FROM mb WHERE term IN (SELECT term FROM seed)),
+      |nodes AS (SELECT term AS id, 'term' AS kind FROM seed
+      |          UNION SELECT 'm1::' || docId, 'meta1' FROM ua
+      |          UNION SELECT 'm2::' || docId, 'meta2' FROM ub
+      |          UNION SELECT 'attr::' || attr, 'attr' FROM ua WHERE attr IS NOT NULL
+      |          UNION SELECT 'attr::' || attr, 'attr' FROM ub WHERE attr IS NOT NULL),
+      |pairs AS (SELECT 'm1::' || docId AS x, term AS y FROM ka
+      |          UNION ALL SELECT 'm2::' || docId, term FROM kb
+      |          UNION ALL SELECT 'attr::' || attr, term FROM ka WHERE attr IS NOT NULL
+      |          UNION ALL SELECT 'attr::' || attr, term FROM kb WHERE attr IS NOT NULL
+      |          UNION ALL SELECT 'm1::' || child, 'm1::' || parent FROM ha
+      |          UNION ALL SELECT 'm2::' || child, 'm2::' || parent FROM hb),
+      |edges AS (SELECT DISTINCT least(x, y) AS src, greatest(x, y) AS dst FROM pairs
+      |          WHERE x <> y AND x IN (SELECT id FROM nodes) AND y IN (SELECT id FROM nodes))
+      |""".stripMargin
+
+  /** `build`'s nodes and edges equal [[algorithm1Sql]]'s on DuckDB. */
+  private def assertAlgorithm1(a: Corpus, b: Corpus, maxN: Int, merge: DataFrame): Graph = {
+    val built = GraphBuilder.build(spark, a, b, GraphBuilder.Config(maxN = maxN, mergeMap = Some(merge)))
+    val tables = Seq(
+      "dtA" -> a.docTerms(spark, maxN), "dtB" -> b.docTerms(spark, maxN), "mm" -> merge,
+      "ua" -> a.units.select("docId", "attr"), "ub" -> b.units.select("docId", "attr"),
+      "ha" -> a.hierarchy(spark), "hb" -> b.hierarchy(spark))
+    Oracle.assertEquivalent(built.nodes, algorithm1Sql + "SELECT id, kind FROM nodes", tables: _*)
+    Oracle.assertEquivalent(built.edges, algorithm1Sql + "SELECT src, dst FROM edges", tables: _*)
+    built
+  }
+
+  test("Algorithm 1 matches DuckDB: merges, stop-word cells, seeding from A or B, taxonomy") {
+    import spark.implicits._
+    val (reviews, _) = fixture
+    // `note` holds only stop-words: attr::note has no term.
+    val movies = TableCorpus("movies", Seq(
+      ("t1", "sixth sense", "shyamalan", "willis", "thriller", "the and of"),
+      ("t2", "pulp fiction", "tarantino", "willis", "drama", "it is"))
+      .toDF("docId", "title", "director", "actor", "genre", "note"), "docId")
+    // thriller and tarantino merge into terms that already exist.
+    val merge = Seq(("thriller", "drama"), ("tarantino", "willi"), ("bland", "comedi"))
+      .toDF("variant", "canon")
+    def moviesSeed(g: Graph): Boolean = g.index.contains("shyamalan") && !g.index.contains("bland")
+
+    val seedB = assertAlgorithm1(reviews, movies, 2, merge)
+    assert(moviesSeed(seedB) && seedB.index.contains("attr::note"))
+    assert(seedB.degree(seedB.index("attr::note")) == 0)
+    assert(!seedB.index.contains("thriller") && seedB.index.contains("drama"))
+    val seedA = assertAlgorithm1(movies, reviews, 3, merge)
+    assert(moviesSeed(seedA))
+
+    // c9 has no text, so no node: its hierarchy edge is dropped.
+    val tax = TaxonomyCorpus("tax", Seq(
+      ("c0", "audit programme", null.asInstanceOf[String]),
+      ("c1", "iso nineteen audit", "c0"),
+      ("c2", "planning of the programme", "c1"),
+      ("c9", null.asInstanceOf[String], "c0")).toDF("docId", "text", "parent"))
+    val docs = TextCorpus("docs", Seq(("d1", "audit planning iso"), ("d2", "the programme"))
+      .toDF("docId", "text"))
+    val gt = assertAlgorithm1(docs, tax, 1, Seq(("iso", "nineteen")).toDF("variant", "canon"))
+    assert(gt.degree(gt.index("m2::c2")) > 0 && !gt.index.contains("m2::c9"))
+  }
+
+  test("mergeFor and build start at most 2 Spark jobs per fresh corpus") {
+    val sc = Scenarios.corona(spark, Scenarios.CoronaParams(nCountries = 6, nMonths = 4, nGen = 30))
+    val (g, jobs) = SparkJobs.count(spark.sparkContext) {
+      val merge = Tables.mergeFor(spark, sc, useGamma = false, useBuckets = true)
+      GraphBuilder.build(spark, sc.queries, sc.candidates,
+        GraphBuilder.Config(maxN = Tables.Default.maxN, mergeMap = merge))
+    }
+    assert(g.numEdges > 0)
+    assert(jobs <= 4)
+  }
+
+  test("a repeat build on the same corpora starts no Spark job and gives the same graph") {
+    import spark.implicits._
+    val (reviews, movies) = fixture
+    val cfg = GraphBuilder.Config(maxN = 2,
+      mergeMap = Some(Seq(("thriller", "drama")).toDF("variant", "canon")))
+    val first = GraphBuilder.build(spark, reviews, movies, cfg)
+    val (second, jobs) = SparkJobs.count(spark.sparkContext)(GraphBuilder.build(spark, reviews, movies, cfg))
+    assert(jobs == 0)
+    assert(second.nodeList == first.nodeList && second.edgeList == first.edgeList)
   }
 }

@@ -1,9 +1,8 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class MergingSpec extends SparkSpec {
-  import org.apache.spark.sql.functions._
+class MergingSpec extends AnyFunSuite {
 
   // ---- FD rule -----------------------------------------------------------
 
@@ -28,44 +27,37 @@ class MergingSpec extends SparkSpec {
   // ---- numeric bucketing -------------------------------------------------
 
   test("numericBucketMap merges close numbers into the same bucket") {
-    import spark.implicits._
-    val terms = ((100 to 110).map(_.toString) ++ Seq("5000", "movie")).toDF("term")
-    val m = Merging.numericBucketMap(spark, terms).collect()
-      .map(r => r.getString(0) -> r.getString(1)).toMap
+    val terms = (100 to 110).map(_.toString) ++ Seq("5000", "movie")
+    val m = Merging.numericBucketMap(terms).toMap
     assert(m("100") == m("101"))
     assert(m("100") != m("5000"))
     assert(!m.contains("movie"))
   }
   test("numericBucketMap empty for non-numeric corpora") {
-    import spark.implicits._
-    val terms = Seq("a", "b").toDF("term")
-    assert(Merging.numericBucketMap(spark, terms).count() == 0)
+    val terms = Seq("a", "b")
+    assert(Merging.numericBucketMap(terms).size == 0)
   }
   test("numericBucketMap bucket labels are num<i>") {
-    import spark.implicits._
-    val terms = Seq("1", "2", "3", "50", "100").toDF("term")
-    val canons = Merging.numericBucketMap(spark, terms).select("canon")
-      .collect().map(_.getString(0))
+    val terms = Seq("1", "2", "3", "50", "100")
+    val canons = Merging.numericBucketMap(terms).map(_._2)
     assert(canons.forall(_.matches("num<\\d+>")))
   }
 
   // ---- dictionary merging ------------------------------------------------
 
   test("dictionaryMap normalizes entries through the text pipeline") {
-    val m = Merging.dictionaryMap(spark, Seq(("B. Willis", "Bruce Willis")))
-      .collect().map(r => (r.getString(0), r.getString(1)))
+    val m = Merging.dictionaryMap(Seq(("B. Willis", "Bruce Willis")))
     assert(m.toSeq == Seq(("b_willi", "bruce_willi")))
   }
   test("dictionaryMap drops identity pairs") {
-    assert(Merging.dictionaryMap(spark, Seq(("plan", "plans"))).count() == 0) // both stem to plan
+    assert(Merging.dictionaryMap(Seq(("plan", "plans"))).size == 0) // both stem to plan
   }
   test("dictionaryMap acronym expansion") {
-    val m = Merging.dictionaryMap(spark, Seq(("pdca", "plan do check act")))
-      .collect().map(r => (r.getString(0), r.getString(1)))
+    val m = Merging.dictionaryMap(Seq(("pdca", "plan do check act")))
     assert(m.head._1 == "pdca" && m.head._2.startsWith("plan_"))
   }
   test("dictionaryMap dedups") {
-    assert(Merging.dictionaryMap(spark, Seq(("a1x", "b1x"), ("a1x", "b1x"))).count() == 1)
+    assert(Merging.dictionaryMap(Seq(("a1x", "b1x"), ("a1x", "b1x"))).size == 1)
   }
 
   // ---- gamma merge -------------------------------------------------------
@@ -77,29 +69,23 @@ class MergingSpec extends SparkSpec {
     "gamma" -> Array(0f, 0f, 1f))
 
   test("gammaMergeMap merges terms above threshold") {
-    import spark.implicits._
-    val terms = Seq("alpha", "alpha2", "beta", "gamma").toDF("term")
-    val m = Merging.gammaMergeMap(spark, terms, vecs, 0.9)
-      .collect().map(r => (r.getString(0), r.getString(1))).toMap
+    val terms = Seq("alpha", "alpha2", "beta", "gamma")
+    val m = Merging.gammaMergeMap(terms, vecs, 0.9).toMap
     assert(m == Map("alpha2" -> "alpha"))
   }
   test("gammaMergeMap leaves dissimilar terms alone") {
-    import spark.implicits._
-    val terms = Seq("beta", "gamma").toDF("term")
-    assert(Merging.gammaMergeMap(spark, terms, vecs, 0.5).count() == 0)
+    val terms = Seq("beta", "gamma")
+    assert(Merging.gammaMergeMap(terms, vecs, 0.5).size == 0)
   }
   test("gammaMergeMap ignores out-of-vocabulary terms") {
-    import spark.implicits._
-    val terms = Seq("unknown1", "unknown2").toDF("term")
-    assert(Merging.gammaMergeMap(spark, terms, vecs, 0.1).count() == 0)
+    val terms = Seq("unknown1", "unknown2")
+    assert(Merging.gammaMergeMap(terms, vecs, 0.1).size == 0)
   }
   test("gammaMergeMap transitive closure picks smallest representative") {
-    import spark.implicits._
     val chain = Map(
       "a" -> Array(1f, 0f), "b" -> Array(0.98f, 0.2f), "c" -> Array(0.93f, 0.37f))
-    val terms = Seq("a", "b", "c").toDF("term")
-    val m = Merging.gammaMergeMap(spark, terms, chain, 0.97)
-      .collect().map(r => (r.getString(0), r.getString(1))).toMap
+    val terms = Seq("a", "b", "c")
+    val m = Merging.gammaMergeMap(terms, chain, 0.97).toMap
     // a~b and b~c merge; a~c is below γ but joins via union-find
     assert(m("b") == "a" && m("c") == "a")
 
@@ -110,8 +96,7 @@ class MergingSpec extends SparkSpec {
     val random = (0 until 60).map(i => f"t$i%02d" -> Array.fill(3)(rnd.nextGaussian().toFloat)).toMap
     val all = random.keys.toSeq.sorted ++ Seq("oov1", "oov2")
     val gamma = 0.97
-    val got = Merging.gammaMergeMap(spark, all.toDF("term"), random, gamma)
-      .collect().map(r => (r.getString(0), r.getString(1))).toSet
+    val got = Merging.gammaMergeMap(all, random, gamma).toSet
     val inVocab = all.filter(random.contains)
     val linked = for (x <- inVocab; y <- inVocab if x != y &&
       repro.embed.Embeddings.cosine(random(x), random(y)) >= gamma) yield (x, y)
@@ -131,24 +116,20 @@ class MergingSpec extends SparkSpec {
   // ---- compose -----------------------------------------------------------
 
   test("compose resolves chained mappings") {
-    import spark.implicits._
-    val m1 = Seq(("x", "y")).toDF("variant", "canon")
-    val m2 = Seq(("y", "z")).toDF("variant", "canon")
-    val m = Merging.compose(spark, m1, m2).collect()
-      .map(r => (r.getString(0), r.getString(1))).toMap
+    val m1 = Seq(("x", "y"))
+    val m2 = Seq(("y", "z"))
+    val m = Merging.compose(m1, m2).toMap
     assert(m == Map("x" -> "z", "y" -> "z"))
   }
   test("compose tolerates cycles") {
-    import spark.implicits._
-    val m1 = Seq(("x", "y"), ("y", "x")).toDF("variant", "canon")
-    val m = Merging.compose(spark, m1).collect().map(r => (r.getString(0), r.getString(1))).toMap
+    val m1 = Seq(("x", "y"), ("y", "x"))
+    val m = Merging.compose(m1).toMap
     // resolution stops at the cycle; mapping stays functional
     assert(m.keys.toSet.subsetOf(Set("x", "y")))
   }
   test("compose of empty is empty") {
-    import spark.implicits._
-    val empty = Seq.empty[(String, String)].toDF("variant", "canon")
-    assert(Merging.compose(spark, empty).count() == 0)
+    val empty = Seq.empty[(String, String)]
+    assert(Merging.compose(empty).size == 0)
   }
 
   // ---- gamma calibration -------------------------------------------------

@@ -56,7 +56,8 @@ class TDMatchSpec extends SparkSpec {
     assert(mrr > 0.3, s"mrr=$mrr")
   }
   test("merge dictionary flows through the pipeline") {
-    val merge = Merging.dictionaryMap(spark, sc.mergeDict)
+    import spark.implicits._
+    val merge = Merging.dictionaryMap(sc.mergeDict).toDF("variant", "canon")
     val cfgM = cfg.copy(mergeMap = Some(merge))
     val rM = TDMatch.run(spark, sc.queries, sc.candidates, cfgM)
     val mrr = RankMetrics.mrr(rM.ranked, sc.truth)
