@@ -3,59 +3,50 @@ package repro.bench
 import repro.SparkSpec
 import repro.data.Scenarios
 import repro.metrics.RankMetrics
+import repro.pipeline.TDMatch
 
-/** Benchmark suites, one per paper table. Each prints the measured rows
-  * (captured into bench_output.txt / EXPERIMENTS.md) and asserts the
-  * *shape* claims of the paper that are robust at bench scale:
-  * W-RW beats the pretrained S-BE stand-in on the domain-specific tasks,
-  * expansion does not hurt, compression shrinks graphs.
+/** Benchmark suites, one per paper table. Each prints the table's
+  * markdown (recorded in EXPERIMENTS.md) and asserts on its rows the
+  * *shape* claims of the paper that are robust at bench scale: W-RW beats
+  * the pretrained S-BE stand-in on the domain-specific tasks, expansion
+  * does not hurt, compression shrinks graphs.
   */
 trait BenchBase extends SparkSpec {
-  /** Parse `| method | mrr | ...` rows from a rendered table section. */
-  def mrrOf(table: String, method: String): Double = {
-    val rows = table.linesIterator.filter(_.startsWith(s"| $method")).toSeq
-    assert(rows.nonEmpty, s"no row for $method in:\n$table")
-    rows.map(_.split("\\|")(2).trim.toDouble).max
-  }
-  def allMrr(table: String, method: String): Seq[Double] =
-    table.linesIterator.filter(_.startsWith(s"| $method")).toSeq
-      .map(_.split("\\|")(2).trim.toDouble)
+  /** The MRR of `method`'s row in each section of a quality table. */
+  def mrrs(table: Tables.Table[Tables.QRow], method: String): Seq[Double] =
+    table.rows.filter(_.method == method).map(_.row.mrr)
 }
 
 class TableIBench extends BenchBase {
   test("Table I — IMDb WT/NT") {
-    val out = Tables.tableI(spark)
-    println(out)
+    val t = Tables.tableI(spark)
+    println(t.markdown)
     // Paper shape: W-RW ≫ S-BE in both variants; expansion helps or ties.
-    val wrw = allMrr(out, "W-RW ")
-    val sbe = allMrr(out, "S-BE")
+    val wrw = mrrs(t, "W-RW")
+    val sbe = mrrs(t, "S-BE")
     assert(wrw.size == 2 && sbe.size == 2)
     wrw.zip(sbe).foreach { case (w, s) => assert(w > s, s"W-RW $w !> S-BE $s") }
-    val ex = allMrr(out, "W-RW-EX")
+    val ex = mrrs(t, "W-RW-EX")
     wrw.zip(ex).foreach { case (w, e) => assert(e >= w - 0.05, s"expansion hurt: $w → $e") }
   }
 }
 
 class TableIIBench extends BenchBase {
   test("Table II — CoronaCheck Gen/Usr") {
-    val out = Tables.tableII(spark)
-    println(out)
-    val wrw = allMrr(out, "W-RW ")
-    val sbe = allMrr(out, "S-BE")
-    wrw.zip(sbe).foreach { case (w, s) => assert(w > s, s"W-RW $w !> S-BE $s") }
+    val t = Tables.tableII(spark)
+    println(t.markdown)
+    mrrs(t, "W-RW").zip(mrrs(t, "S-BE")).foreach { case (w, s) => assert(w > s, s"W-RW $w !> S-BE $s") }
   }
 }
 
 class TableIIIBench extends BenchBase {
   test("Table III — Audit Exact/Node scores") {
-    val out = Tables.tableIII(spark)
-    println(out)
+    val t = Tables.tableIII(spark)
+    println(t.markdown)
     // Shape: W-RW beats S-BE (domain vocabulary is OOV for pretrained).
-    def col(table: String, method: String, idx: Int): Seq[Double] =
-      table.linesIterator.filter(_.startsWith(s"| $method")).toSeq
-        .map(_.split("\\|")(idx).trim.toDouble)
-    val wrwNodeF = col(out, "W-RW ", 6)
-    val sbeNodeF = col(out, "S-BE", 6)
+    def nodeF(method: String) = t.rows.filter(_.method == method).map(_.node.f)
+    val wrwNodeF = nodeF("W-RW")
+    val sbeNodeF = nodeF("S-BE")
     assert(wrwNodeF.nonEmpty && wrwNodeF.size == sbeNodeF.size)
     assert(wrwNodeF.sum > sbeNodeF.sum, s"$wrwNodeF vs $sbeNodeF")
   }
@@ -63,65 +54,56 @@ class TableIIIBench extends BenchBase {
 
 class TableIVBench extends BenchBase {
   test("Table IV — Politifact") {
-    val out = Tables.tableTextToText(spark, "politifact")
-    println(out)
-    assert(mrrOf(out, "W-RW ") > mrrOf(out, "S-BE"))
+    val t = Tables.tableTextToText(spark, "politifact")
+    println(t.markdown)
+    assert(mrrs(t, "W-RW").max > mrrs(t, "S-BE").max)
   }
 }
 
 class TableVBench extends BenchBase {
   test("Table V — Snopes") {
-    val out = Tables.tableTextToText(spark, "snopes")
-    println(out)
-    assert(mrrOf(out, "W-RW ") > mrrOf(out, "S-BE"))
+    val t = Tables.tableTextToText(spark, "snopes")
+    println(t.markdown)
+    assert(mrrs(t, "W-RW").max > mrrs(t, "S-BE").max)
   }
 }
 
 class TableVIBench extends BenchBase {
   test("Table VI — STS k=2,3") {
-    val out = Tables.tableVI(spark)
-    println(out)
+    val t = Tables.tableVI(spark)
+    println(t.markdown)
     // All methods are strong here; check rows exist and are sane.
-    assert(allMrr(out, "W-RW ").forall(m => m > 0.3 && m <= 1.0))
+    assert(mrrs(t, "W-RW").forall(m => m > 0.3 && m <= 1.0))
   }
 }
 
 class TableVIIBench extends BenchBase {
   test("Table VII — execution times") {
-    val out = Tables.tableVII(spark)
-    println(out)
+    val t = Tables.tableVII(spark)
+    println(t.markdown)
     // Shape: our method's test time is small; training dominates.
-    val lines = out.linesIterator.filter(_.startsWith("| ")).toSeq
-    val wrwRows = lines.filter(_.contains("| W-RW "))
+    val wrwRows = t.rows.filter(_.method == "W-RW")
     assert(wrwRows.size == 3)
-    wrwRows.foreach { row =>
-      val cells = row.split("\\|").map(_.trim)
-      val train = cells(3).toDouble; val test = cells(4).toDouble
-      assert(train > test, s"W-RW train $train should exceed test $test")
+    wrwRows.foreach { r =>
+      assert(r.trainSec > r.testSec, s"W-RW train ${r.trainSec} should exceed test ${r.testSec}")
     }
   }
 }
 
 class TableVIIIBench extends BenchBase {
   test("Table VIII — compression size vs quality") {
-    val out = Tables.tableVIII(spark)
-    println(out)
-    val rows = out.linesIterator.filter(_.startsWith("| ")).toSeq.drop(2)
-    val parsed = rows.map { r =>
-      val c = r.split("\\|").map(_.trim)
-      (c(1), c(2), c(3).toLong, c(4).toLong, c(5).toDouble)
-    }
-    val byDs = parsed.groupBy(_._1)
-    byDs.foreach { case (ds, vs) =>
-      def of(v: String) = vs.find(_._2 == v).get
+    val t = Tables.tableVIII(spark)
+    println(t.markdown)
+    t.rows.groupBy(_.dataset).foreach { case (ds, vs) =>
+      def of(v: String) = vs.find(_.variant == v).get
       val expanded = of("Expanded"); val msp5 = of("MSP(0.5)"); val msp25 = of("MSP(0.25)")
       // MSP compresses the expanded graph monotonically in β. (Expansion
       // itself may shrink node counts: Algorithm 2's cleaning step prunes
       // every degree-1 node, including original ones.)
-      assert(msp5._3 <= expanded._3, s"$ds MSP(0.5) nodes")
-      assert(msp25._3 <= msp5._3, s"$ds MSP(0.25) ≤ MSP(0.5) nodes")
+      assert(msp5.nodes <= expanded.nodes, s"$ds MSP(0.5) nodes")
+      assert(msp25.nodes <= msp5.nodes, s"$ds MSP(0.25) ≤ MSP(0.5) nodes")
       // SSuM keeps a usable sparsified graph (metadata stays connected).
-      assert(of("SSuM(0.1)")._4 > 0, s"$ds SSuM should keep edges")
+      assert(of("SSuM(0.1)").edges > 0, s"$ds SSuM should keep edges")
     }
   }
 }
@@ -138,7 +120,8 @@ class CoronaAblationBench extends BenchBase {
       (nw, wl) <- Seq((10, 10), (30, 15))
     } {
       val bench = Tables.Bench(numWalks = nw, walkLength = wl)
-      val r = Tables.wrw(spark, sc, expand = false, gamma, buckets, bench)
+      val merge = Tables.mergeFor(spark, sc, gamma, buckets, bench)
+      val r = TDMatch.run(spark, sc.queries, sc.candidates, Tables.cfgFor(sc, merge, expand = false, bench))
       val mrr = RankMetrics.mrr(r.ranked, sc.truth)
       println(f"PROBE gamma=$gamma buckets=$buckets walks=${nw}x$wl mrr=$mrr%.3f")
     }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core.Corpus
 import repro.data.{Pretrained, World}
 import repro.embed.Embeddings
@@ -20,12 +20,7 @@ import repro.matching.Matcher
   *    with the content — the mechanism PV-DBOW uses.
   */
 object EmbedBaselines {
-
-  final case class Ranked(ranked: DataFrame, trainSec: Double, testSec: Double)
-
-  private def time[T](f: => T): (T, Double) = {
-    val t0 = System.nanoTime(); val r = f; (r, (System.nanoTime() - t0) / 1e9)
-  }
+  import Ranked.time
 
   /** S-BE: pretrained mean-vector matching. */
   def sbe(spark: SparkSession, world: World, a: Corpus, b: Corpus, k: Int, dim: Int = 48): Ranked = {

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core.Corpus
 import repro.matching.Matcher
 
@@ -16,8 +16,7 @@ import repro.matching.Matcher
   * (plenty of centroids), weaker for the long multi-concept tail.
   */
 object MultiLabel {
-
-  final case class Ranked(ranked: DataFrame, trainSec: Double, testSec: Double)
+  import Ranked.time
 
   def run(
       spark: SparkSession,
@@ -25,39 +24,39 @@ object MultiLabel {
       taxonomy: Corpus,    // candidates (concepts)
       truthPairs: Seq[(String, String)],
       k: Int): Ranked = {
-    val t0 = System.nanoTime()
-    val dTok = DocTokens.map(spark, docs, markers = false)
-    val cTok = DocTokens.map(spark, taxonomy, markers = false)
-    val idfMap = Supervised.idf(dTok.values ++ cTok.values)
-
     val truthByQ = truthPairs.groupBy(_._1).view.mapValues(_.map(_._2).toSet).toMap
     val (trainQ, testQ) = Supervised.split(truthByQ.keys.toSeq)
 
-    def tfidf(tokens: Seq[String]) = Supervised.tfidfVec(tokens, idfMap)
+    val ((dTok, idfMap, centroids), trainSec) = time {
+      val dTok = DocTokens.map(spark, docs, markers = false)
+      val cTok = DocTokens.map(spark, taxonomy, markers = false)
+      val idfMap = Supervised.idf(dTok.values ++ cTok.values)
+      def tfidf(tokens: Seq[String]) = Supervised.tfidfVec(tokens, idfMap)
 
-    // Concept centroids from training docs; backoff to the concept text.
-    val byConcept = trainQ.flatMap(q => truthByQ(q).map(c => c -> q))
-      .groupBy(_._1).view.mapValues(_.map(_._2)).toMap
-    val centroids: Map[String, Map[String, Double]] = cTok.map { case (cid, ctoks) =>
-      byConcept.get(cid) match {
-        case Some(ds) if ds.nonEmpty =>
-          val vecs = ds.map(d => tfidf(dTok(d)))
-          val sum = scala.collection.mutable.Map.empty[String, Double].withDefaultValue(0.0)
-          vecs.foreach(_.foreach { case (t, v) => sum(t) += v })
-          cid -> sum.view.mapValues(_ / ds.size).toMap
-        case _ => cid -> tfidf(ctoks)
+      // Concept centroids from training docs; backoff to the concept text.
+      val byConcept = trainQ.flatMap(q => truthByQ(q).map(c => c -> q))
+        .groupBy(_._1).view.mapValues(_.map(_._2)).toMap
+      val centroids: Map[String, Map[String, Double]] = cTok.map { case (cid, ctoks) =>
+        byConcept.get(cid) match {
+          case Some(ds) if ds.nonEmpty =>
+            val vecs = ds.map(d => tfidf(dTok(d)))
+            val sum = scala.collection.mutable.Map.empty[String, Double].withDefaultValue(0.0)
+            vecs.foreach(_.foreach { case (t, v) => sum(t) += v })
+            cid -> sum.view.mapValues(_ / ds.size).toMap
+          case _ => cid -> tfidf(ctoks)
+        }
       }
+      (dTok, idfMap, centroids)
     }
-    val trainSec = (System.nanoTime() - t0) / 1e9
 
-    val t1 = System.nanoTime()
-    val rows = testQ.flatMap { q =>
-      val dv = tfidf(dTok(q))
-      val scored = centroids.iterator.map { case (cid, cv) => (cid, Supervised.sparseCos(dv, cv)) }
-      Matcher.ranks(q, scored, k)
+    val (ranked, testSec) = time {
+      val rows = testQ.flatMap { q =>
+        val dv = Supervised.tfidfVec(dTok(q), idfMap)
+        val scored = centroids.iterator.map { case (cid, cv) => (cid, Supervised.sparseCos(dv, cv)) }
+        Matcher.ranks(q, scored, k)
+      }
+      Matcher.toDf(spark, rows)
     }
-    val ranked = Matcher.toDf(spark, rows)
-    val testSec = (System.nanoTime() - t1) / 1e9
     Ranked(ranked, trainSec, testSec)
   }
 }

@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.mllib.classification.LogisticRegressionWithLBFGS
 import org.apache.spark.mllib.linalg.Vectors
 import org.apache.spark.mllib.regression.LabeledPoint
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core.{Corpus, TextPrep}
 import repro.data.{Pretrained, World}
 import repro.embed.Embeddings
@@ -29,6 +29,7 @@ import scala.util.Random
   * generic text.
   */
 object Supervised {
+  import Ranked.time
 
   /** Feature indices. */
   private val UniJac = 0; private val BiJac = 1; private val TfIdfCos = 2
@@ -55,8 +56,6 @@ object Supervised {
       1.0 / (1.0 + math.exp(-z))
     }
   }
-
-  final case class Ranked(ranked: DataFrame, trainSec: Double, testSec: Double)
 
   def idf(docTokens: Iterable[Seq[String]]): Map[String, Double] = {
     val n = docTokens.size.toDouble
@@ -131,53 +130,53 @@ object Supervised {
       dim: Int = 48,
       seed: Long = 99,
       negPerPos: Int = 5): Ranked = {
-    val t0 = System.nanoTime()
-    val pre  = Pretrained.vectors(spark, world, dim)
-    val qTok = DocTokens.map(spark, a)
-    val cTok = DocTokens.map(spark, b)
-    val idfMap = idf(qTok.values ++ cTok.values)
-    val qViews = qTok.map { case (id, t) => id -> view(t, idfMap, pre, dim) }
-    val cViews = cTok.map { case (id, t) => id -> view(t, idfMap, pre, dim) }
-
     val truthByQ = truthPairs.groupBy(_._1).view.mapValues(_.map(_._2).toSet).toMap
     val (trainQ, testQ) = split(truthByQ.keys.toSeq)
-    val candIds = cViews.keys.toVector.sorted
-    val rnd = new Random(seed)
 
-    val samples = trainQ.flatMap { q =>
-      val qv = qViews(q)
-      val gold = truthByQ(q).filter(cViews.contains)
-      val pos = gold.toSeq.map(c => LabeledPoint(1.0, Vectors.dense(mask(features(qv, cViews(c)), method))))
-      val negs = (0 until negPerPos * math.max(1, gold.size)).map { _ =>
-        var c = candIds(rnd.nextInt(candIds.size))
-        var tries = 0
-        while (gold.contains(c) && tries < 10) { c = candIds(rnd.nextInt(candIds.size)); tries += 1 }
-        LabeledPoint(0.0, Vectors.dense(mask(features(qv, cViews(c)), method)))
+    val ((qViews, cViews, model), trainSec) = time {
+      val pre  = Pretrained.vectors(spark, world, dim)
+      val qTok = DocTokens.map(spark, a)
+      val cTok = DocTokens.map(spark, b)
+      val idfMap = idf(qTok.values ++ cTok.values)
+      val qViews = qTok.map { case (id, t) => id -> view(t, idfMap, pre, dim) }
+      val cViews = cTok.map { case (id, t) => id -> view(t, idfMap, pre, dim) }
+
+      val candIds = cViews.keys.toVector.sorted
+      val rnd = new Random(seed)
+      val samples = trainQ.flatMap { q =>
+        val qv = qViews(q)
+        val gold = truthByQ(q).filter(cViews.contains)
+        val pos = gold.toSeq.map(c => LabeledPoint(1.0, Vectors.dense(mask(features(qv, cViews(c)), method))))
+        val negs = (0 until negPerPos * math.max(1, gold.size)).map { _ =>
+          var c = candIds(rnd.nextInt(candIds.size))
+          var tries = 0
+          while (gold.contains(c) && tries < 10) { c = candIds(rnd.nextInt(candIds.size)); tries += 1 }
+          LabeledPoint(0.0, Vectors.dense(mask(features(qv, cViews(c)), method)))
+        }
+        pos ++ negs
       }
-      pos ++ negs
+      val lr = new LogisticRegressionWithLBFGS().setNumClasses(2)
+      lr.optimizer.setNumIterations(50)
+      val fitted = lr.run(spark.sparkContext.parallelize(samples,
+        math.max(1, spark.sparkContext.defaultParallelism)))
+      (qViews, cViews, Model(method, fitted.weights.toArray, fitted.intercept))
     }
-    val lr = new LogisticRegressionWithLBFGS().setNumClasses(2)
-    lr.optimizer.setNumIterations(50)
-    val fitted = lr.run(spark.sparkContext.parallelize(samples,
-      math.max(1, spark.sparkContext.defaultParallelism)))
-    val model = Model(method, fitted.weights.toArray, fitted.intercept)
-    val trainSec = (System.nanoTime() - t0) / 1e9
 
-    val t1 = System.nanoTime()
-    val bcC = spark.sparkContext.broadcast(cViews)
-    val bcQ = spark.sparkContext.broadcast(qViews.filter { case (id, _) => testQ.contains(id) })
-    val bcM = spark.sparkContext.broadcast(model)
-    val rankedRows = spark.sparkContext
-      .parallelize(testQ.toIndexedSeq, math.max(1, spark.sparkContext.defaultParallelism))
-      .flatMap { q =>
-        val qv = bcQ.value(q)
-        val m = bcM.value
-        val scored = bcC.value.iterator.map { case (c, cv) => (c, m.score(mask(features(qv, cv), m.method))) }
-        Matcher.ranks(q, scored, k)
-      }
-      .collect()
-    val ranked = Matcher.toDf(spark, rankedRows.toIndexedSeq)
-    val testSec = (System.nanoTime() - t1) / 1e9
+    val (ranked, testSec) = time {
+      val bcC = spark.sparkContext.broadcast(cViews)
+      val bcQ = spark.sparkContext.broadcast(qViews.filter { case (id, _) => testQ.contains(id) })
+      val bcM = spark.sparkContext.broadcast(model)
+      val rankedRows = spark.sparkContext
+        .parallelize(testQ.toIndexedSeq, math.max(1, spark.sparkContext.defaultParallelism))
+        .flatMap { q =>
+          val qv = bcQ.value(q)
+          val m = bcM.value
+          val scored = bcC.value.iterator.map { case (c, cv) => (c, m.score(mask(features(qv, cv), m.method))) }
+          Matcher.ranks(q, scored, k)
+        }
+        .collect()
+      Matcher.toDf(spark, rankedRows.toIndexedSeq)
+    }
     Ranked(ranked, trainSec, testSec)
   }
 }

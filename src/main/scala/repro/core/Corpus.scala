@@ -23,13 +23,24 @@ sealed trait Corpus {
   /** `(docId, unit, attr)` — attr is null for non-table corpora. */
   def units: DataFrame
 
-  /** Sorted distinct document ids of [[units]], collected once and kept on
-    * the driver: a corpus is immutable, so its ids hold for its whole
-    * life. A document without a unit (a tuple whose cells are all null or
-    * blank, a null text) has no id here and so no metadata node.
+  /** Each unit's `(docId, attr, TextPrep.terms1(unit))`, tokenised in one
+    * narrow Spark job and then kept on the driver: a corpus is immutable,
+    * so its tokens hold for its whole life. [[docIds]] and every
+    * [[terms]]`(maxN)` are read from it.
     */
-  lazy val docIds: IndexedSeq[String] =
-    units.select("docId").collect().map(_.getString(0)).distinct.sorted.toIndexedSeq
+  private lazy val unitTokens: IndexedSeq[(String, String, Seq[String])] = {
+    val u = units
+    import u.sparkSession.implicits._
+    u.select("docId", "attr", "unit").as[(String, String, String)]
+      .mapPartitions(_.map { case (docId, attr, unit) => (docId, attr, TextPrep.terms1(unit)) })
+      .collect().toIndexedSeq
+  }
+
+  /** Sorted distinct document ids of [[units]]. A document without a unit
+    * (a tuple whose cells are all null or blank, a null text) has no id
+    * here and so no metadata node.
+    */
+  lazy val docIds: IndexedSeq[String] = unitTokens.map(_._1).distinct.sorted
 
   /** `(child, parent)` doc-id pairs for structured text; empty otherwise. */
   def hierarchy(spark: SparkSession): DataFrame = {
@@ -41,12 +52,11 @@ sealed trait Corpus {
 
   private val termsByMaxN = scala.collection.mutable.Map.empty[Int, Corpus.Terms]
 
-  /** The corpus's terms at `maxN`, tokenised once in one narrow Spark job
-    * and then kept on the driver: a corpus is immutable, so they hold for
-    * its whole life.
+  /** The corpus's terms at `maxN`, built on the driver from the units'
+    * tokens once per `maxN`.
     */
   def terms(maxN: Int): Corpus.Terms =
-    synchronized(termsByMaxN.getOrElseUpdate(maxN, Corpus.Terms.of(units, maxN)))
+    synchronized(termsByMaxN.getOrElseUpdate(maxN, Corpus.Terms.of(unitTokens, maxN)))
 
   /** [[terms]]`(maxN).rows` as a DataFrame `(docId, attr, term)`. */
   def docTerms(spark: SparkSession, maxN: Int): DataFrame = {
@@ -73,16 +83,12 @@ object Corpus {
   final case class Terms(rows: IndexedSeq[(String, String, String)], attrs: IndexedSeq[String])
 
   object Terms {
-    /** One narrow job over `units`; the deduplication runs on the driver. */
-    def of(units: DataFrame, maxN: Int): Terms = {
-      import units.sparkSession.implicits._
-      val perUnit = units.select("docId", "attr", "unit").as[(String, String, String)]
-        .mapPartitions(_.map { case (docId, attr, unit) => (docId, attr, TextPrep.terms(unit, maxN)) })
-        .collect()
-      Terms(
-        perUnit.iterator.flatMap { case (docId, attr, ts) => ts.map((docId, attr, _)) }.distinct.toIndexedSeq,
-        perUnit.iterator.map(_._2).filter(_ != null).distinct.toIndexedSeq)
-    }
+    /** From each unit's `(docId, attr, TextPrep.terms1(unit))`. */
+    def of(unitTokens: Seq[(String, String, Seq[String])], maxN: Int): Terms = Terms(
+      unitTokens.iterator.flatMap { case (docId, attr, toks) =>
+        TextPrep.ngrams(toks, maxN).map((docId, attr, _))
+      }.distinct.toIndexedSeq,
+      unitTokens.iterator.map(_._2).filter(_ != null).distinct.toIndexedSeq)
   }
 }
 

@@ -171,11 +171,12 @@ object TextPrep {
     * n-grams are built within the given text unit (a cell value or a
     * sentence), never across units — callers pass one unit at a time.
     */
-  def terms(text: String, maxN: Int): Seq[String] = {
-    val toks = terms1(text)
+  def terms(text: String, maxN: Int): Seq[String] = ngrams(terms1(text), maxN)
+
+  /** The distinct n-grams of `toks` for n = 1..maxN, joined with `_`. */
+  def ngrams(toks: Seq[String], maxN: Int): Seq[String] =
     (1 to math.max(1, maxN)).flatMap { n =>
       if (toks.length < n) Seq.empty
       else toks.sliding(n).map(_.mkString("_")).toSeq
     }.distinct
-  }
 }

@@ -349,14 +349,6 @@ object Scenarios {
       mergeDict = Seq.empty, window = 15, world = w)
   }
 
-  def snopes(spark: SparkSession, seed: Long = 777): Scenario =
-    claims(spark, ClaimsParams(nFacts = 1500, nClaims = 150, synProb = 0.3, dropProb = 0.15,
-      seed = seed, name = "snopes"))
-
-  def politifact(spark: SparkSession, seed: Long = 778): Scenario =
-    claims(spark, ClaimsParams(nFacts = 2500, nClaims = 120, synProb = 0.55, dropProb = 0.3,
-      seed = seed, name = "politifact"))
-
   // ------------------------------------------------------------------- STS
 
   final case class StsParams(nPairs: Int = 400, threshold: Int = 2, seed: Long = 999)

@@ -13,14 +13,6 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 trait KnowledgeBase {
   /** All `(subject, object)` pairs in the resource as a DataFrame. */
   def triples(spark: SparkSession): DataFrame
-
-  /** Connections of a single term — convenience for tests. */
-  def relationsOf(spark: SparkSession, term: String): Seq[String] = {
-    import org.apache.spark.sql.functions.col
-    val t = triples(spark)
-    (t.where(col("subject") === term).select("object").collect().map(_.getString(0)) ++
-      t.where(col("object") === term).select("subject").collect().map(_.getString(0))).toSeq.distinct
-  }
 }
 
 /** In-memory triple store; subjects/objects must already be in graph-term

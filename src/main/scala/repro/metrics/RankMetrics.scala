@@ -33,10 +33,7 @@ object RankMetrics {
   final case class Row(
       mrr: Double,
       map1: Double, map5: Double, map20: Double,
-      hp1: Double, hp5: Double, hp20: Double) {
-    def formatted: String =
-      f"$mrr%.3f ${map1}%.3f ${map5}%.3f ${map20}%.3f ${hp1}%.3f ${hp5}%.3f ${hp20}%.3f"
-  }
+      hp1: Double, hp5: Double, hp20: Double)
 
   /** All seven measures from one collect of each input. */
   def row(ranked: DataFrame, truth: DataFrame): Row = {

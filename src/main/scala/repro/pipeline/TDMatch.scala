@@ -68,30 +68,16 @@ object TDMatch {
       case Ssum(f)       => SSuM.compress(spark, expanded, f, cfg.seed)
     }
 
-    val (vectors, ranked, trainSec, testSec) = embedAndRank(spark, graph, a, b, cfg, t0)
-    Result(graph, base, vectors, ranked, trainSec, testSec)
-  }
-
-  /** Walks → Word2Vec → ranking over a prebuilt graph (used by the
-    * compression benches that reuse one expanded graph for many variants).
-    */
-  def embedAndRank(
-      spark: SparkSession,
-      graph: Graph,
-      a: Corpus, b: Corpus,
-      cfg: Config,
-      trainStartNanos: Long = System.nanoTime())
-      : (Map[String, Array[Float]], DataFrame, Double, Double) = {
     val sentences = RandomWalks.walks(spark, graph, cfg.numWalks, cfg.walkLength, cfg.seed)
     val vectors = Embeddings.train(
       spark, sentences,
       Embeddings.Config(cfg.vectorSize, cfg.window, 1, cfg.w2vIterations, cfg.seed))
-    val trainSec = (System.nanoTime() - trainStartNanos) / 1e9
+    val trainSec = (System.nanoTime() - t0) / 1e9
 
     val t1 = System.nanoTime()
-    val ranked = TDMatch.rank(spark, a, b, vectors, cfg.vectorSize, cfg.topK)
+    val ranked = rank(spark, a, b, vectors, cfg.vectorSize, cfg.topK)
     val testSec = (System.nanoTime() - t1) / 1e9
-    (vectors, ranked, trainSec, testSec)
+    Result(graph, base, vectors, ranked, trainSec, testSec)
   }
 
   /** Rank `b` documents for every `a` document by the cosine of their

@@ -226,7 +226,7 @@ class GraphBuilderSpec extends SparkSpec {
     assert(gt.degree(gt.index("m2::c2")) > 0 && !gt.index.contains("m2::c9"))
   }
 
-  test("mergeFor and build start at most 2 Spark jobs per fresh corpus") {
+  test("mergeFor and build start at most 1 Spark job per fresh corpus") {
     val sc = Scenarios.corona(spark, Scenarios.CoronaParams(nCountries = 6, nMonths = 4, nGen = 30))
     val (g, jobs) = SparkJobs.count(spark.sparkContext) {
       val merge = Tables.mergeFor(spark, sc, useGamma = false, useBuckets = true)
@@ -234,7 +234,7 @@ class GraphBuilderSpec extends SparkSpec {
         GraphBuilder.Config(maxN = Tables.Default.maxN, mergeMap = merge))
     }
     assert(g.numEdges > 0)
-    assert(jobs <= 4)
+    assert(jobs <= 2)
   }
 
   test("a repeat build on the same corpora starts no Spark job and gives the same graph") {

@@ -123,10 +123,6 @@ class ScenariosSpec extends SparkSpec {
     val po = Scenarios.ClaimsParams(nFacts = 2500, synProb = 0.55, dropProb = 0.3, seed = 1, name = "politifact")
     assert(po.synProb > sn.synProb && po.dropProb > sn.dropProb)
   }
-  test("snopes and politifact factories use distinct names") {
-    assert(Scenarios.snopes(spark, 7).name == "snopes")
-    assert(Scenarios.politifact(spark, 7).name == "politifact")
-  }
 
   // ---- STS ---------------------------------------------------------------
 

@@ -92,11 +92,6 @@ class ExpansionSpec extends SparkSpec {
     assert(cnt == 2) // p1 and tarantino
   }
 
-  test("SynthKB relationsOf returns both directions") {
-    val kb = SynthKB(Seq(("a", "b"), ("c", "a")))
-    assert(kb.relationsOf(spark, "a").toSet == Set("b", "c"))
-  }
-
   test("SynthKB triples dedup") {
     val kb = SynthKB(Seq(("a", "b"), ("a", "b")))
     assert(kb.triples(spark).count() == 1)

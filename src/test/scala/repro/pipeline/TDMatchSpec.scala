@@ -4,8 +4,10 @@ import org.apache.spark.SparkJobs
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, IntegerType, StringType}
 import repro.SparkSpec
-import repro.core.{Kind, Merging, TextCorpus}
+import repro.compress.{MSP, SSuM}
+import repro.core.{GraphBuilder, Kind, Merging, TextCorpus}
 import repro.data.Scenarios
+import repro.expand.Expansion
 import repro.metrics.RankMetrics
 
 /** End-to-end pipeline checks on a tiny IMDb-like scenario. Quality
@@ -73,6 +75,17 @@ class TDMatchSpec extends SparkSpec {
     val cfgS = cfg.copy(compression = TDMatch.Ssum(0.9))
     val rS = TDMatch.run(spark, sc.queries, sc.candidates, cfgS)
     assert(rS.ranked.count() > 0)
+  }
+  test("run walks the graph that build, expand and compress give by hand: MSP and SSuM") {
+    val base = GraphBuilder.build(spark, sc.queries, sc.candidates, GraphBuilder.Config(maxN = cfg.maxN))
+    val expanded = Expansion.expand(spark, base, sc.kb)
+    Seq(
+      TDMatch.Msp(0.5) -> MSP.compress(spark, expanded, 0.5, cfg.seed),
+      TDMatch.Ssum(0.1) -> SSuM.compress(spark, expanded, 0.1, cfg.seed)).foreach { case (c, byHand) =>
+      val r = TDMatch.run(spark, sc.queries, sc.candidates, cfg.copy(expansion = Some(sc.kb), compression = c))
+      assert(r.graph.nodeList == byHand.nodeList, c)
+      assert(r.graph.edgeList == byHand.edgeList, c)
+    }
   }
   test("a run leaves no persisted RDD once its ranking is released") {
     val before = spark.sparkContext.getPersistentRDDs.keySet.toSet
