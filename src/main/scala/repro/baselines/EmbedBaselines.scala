@@ -48,7 +48,6 @@ object EmbedBaselines {
       dim: Int = 48,
       window: Int = 5,
       seed: Long = 23): Ranked = {
-    import spark.implicits._
     val qTok = DocTokens.map(spark, a)
     val cTok = DocTokens.map(spark, b)
     def docTokenId(id: String, isQuery: Boolean) = if (isQuery) s"docq::$id" else s"docc::$id"
@@ -56,11 +55,10 @@ object EmbedBaselines {
     val sentences = (qTok.toSeq.map { case (id, t) => (docTokenId(id, true), t) } ++
       cTok.toSeq.map { case (id, t) => (docTokenId(id, false), t) })
       .map { case (idTok, t) => if (docIdToken) (idTok +: t).toArray else t.toArray }
-    val sentDf = spark.createDataset(sentences).toDF("sentence")
 
     val (vectors, trainT) = time {
-      Embeddings.train(spark, sentDf,
-        Embeddings.Config(vectorSize = dim, window = window, minCount = 1, iterations = 1, seed = seed))
+      Embeddings.train(sentences,
+        Embeddings.Config(vectorSize = dim, window = window, minCount = 1, iterations = 3, seed = seed))
     }
     def idVectors(ids: Iterable[String], isQuery: Boolean) = ids.toSeq.map(id =>
       id -> vectors.getOrElse(docTokenId(id, isQuery), new Array[Float](dim)))

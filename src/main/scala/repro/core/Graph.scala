@@ -18,10 +18,10 @@ object Kind {
   def isMetadata(kind: String): Boolean = kind == Meta1 || kind == Meta2 || kind == Attr
 }
 
-/** Undirected graph in compact CSR form, held in driver memory and
-  * broadcast to Spark tasks by the graph algorithms (MSP/SSuM BFS, random
-  * walks). Graphs at evaluation scale fit easily; the paper itself ran on
-  * an 8 GB laptop.
+/** Undirected graph in compact CSR form, held in driver memory, read
+  * there by the random walks and broadcast to Spark tasks by MSP's BFS.
+  * Graphs at evaluation scale fit easily; the paper itself ran on an 8 GB
+  * laptop.
   *
   * Node `v` (label `labels(v)`, kind `kinds(v)`) has the sorted neighbours
   * `neighbors(offsets(v) until offsets(v + 1))`. Labels are sorted, so the

@@ -125,18 +125,19 @@ final class World(val seed: Long = 123) extends Serializable {
   }
 }
 
-/** Pretrained-model cache: one Word2Vec model per (world seed, dim),
+/** Pretrained-model cache: one skip-gram model per (world seed, dim),
   * trained on the world's generic corpus with stemmed tokens — the
-  * SentenceBERT / Wikipedia2Vec substitute.
+  * SentenceBERT / Wikipedia2Vec substitute. Training runs on the driver
+  * ([[Embeddings.train]]) and starts no Spark job.
   */
 object Pretrained {
   private val cache = scala.collection.mutable.Map.empty[(Long, Int), Map[String, Array[Float]]]
 
   def vectors(spark: SparkSession, world: World, dim: Int = 48): Map[String, Array[Float]] =
-    cache.getOrElseUpdate((world.seed, dim), {
-      import spark.implicits._
-      val sentences = world.genericCorpus().map(_.toArray)
-      val df = spark.createDataset(sentences).toDF("sentence")
-      Embeddings.train(spark, df, Embeddings.Config(vectorSize = dim, window = 5, minCount = 2, iterations = 3, seed = world.seed))
-    })
+    cache.getOrElseUpdate((world.seed, dim), train(world, dim))
+
+  /** The model [[vectors]] caches, trained afresh. */
+  private[data] def train(world: World, dim: Int): Map[String, Array[Float]] =
+    Embeddings.train(world.genericCorpus().map(_.toArray),
+      Embeddings.Config(vectorSize = dim, window = 5, minCount = 2, iterations = 3, seed = world.seed))
 }

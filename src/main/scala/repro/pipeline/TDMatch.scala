@@ -9,7 +9,7 @@ import repro.matching.Matcher
 import repro.walk.RandomWalks
 
 /** End-to-end TDmatch pipeline: graph → (merge) → (expand) → (compress) →
-  * walks → Word2Vec → top-k matching (paper Figure 3).
+  * walks → skip-gram embeddings → top-k matching (paper Figure 3).
   *
   * The configuration exposes every knob the paper ablates: n-gram size,
   * walk count/length, Word2Vec window, merging, expansion resource and
@@ -28,7 +28,7 @@ object TDMatch {
       walkLength: Int = 15,
       window: Int = 3,
       vectorSize: Int = 64,
-      w2vIterations: Int = 1,
+      w2vIterations: Int = 3,
       mergeMap: Option[DataFrame] = None,
       expansion: Option[KnowledgeBase] = None,
       compression: Compression = NoCompression,
@@ -44,7 +44,7 @@ object TDMatch {
       vectors: Map[String, Array[Float]],
       /** `(queryId, candId, sim, rank)` over raw document ids. */
       ranked: DataFrame,
-      /** Wall-clock: graph + walks + Word2Vec (the paper's "train"). */
+      /** Wall-clock: graph + walks + embedding training (the paper's "train"). */
       trainSec: Double = 0.0,
       /** Wall-clock: matching all queries (the paper's "test"). */
       testSec: Double = 0.0)
@@ -68,9 +68,8 @@ object TDMatch {
       case Ssum(f)       => SSuM.compress(spark, expanded, f, cfg.seed)
     }
 
-    val sentences = RandomWalks.walks(spark, graph, cfg.numWalks, cfg.walkLength, cfg.seed)
     val vectors = Embeddings.train(
-      spark, sentences,
+      RandomWalks.sentences(graph, cfg.numWalks, cfg.walkLength, cfg.seed),
       Embeddings.Config(cfg.vectorSize, cfg.window, 1, cfg.w2vIterations, cfg.seed))
     val trainSec = (System.nanoTime() - t0) / 1e9
 

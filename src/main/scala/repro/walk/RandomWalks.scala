@@ -10,31 +10,27 @@ import scala.collection.mutable.ArrayBuffer
   * `n` walks of length `l` start from every graph node; each step moves to
   * a uniformly random neighbor, and an isolated node gives a length-1
   * walk. Every walk becomes one "sentence" whose words are node labels;
-  * the union of sentences is the Word2Vec training corpus.
+  * the sentences are the embedding trainer's corpus.
   *
-  * DeepWalk-style (Perozzi et al., KDD'14): one Spark job over ranges of
-  * start nodes walks the broadcast [[Graph]] in memory. Walk `w` from
-  * node `v` draws from a `SplittableRandom` seeded by `(seed, v, w)` alone,
-  * so partitioning and core count do not change the corpus, and each pass
-  * over the DataFrame (Word2Vec makes two) regenerates identical walks.
+  * DeepWalk-style (Perozzi et al., KDD'14), on the driver over the
+  * in-memory [[Graph]]: walk `w` from node `v` draws from a
+  * `SplittableRandom` seeded by `(seed, v, w)` alone, and the walks come
+  * in walk-major order (every node's first walk, then every node's
+  * second), as DeepWalk's passes over the node set.
   */
 object RandomWalks {
 
-  /** Returns a DataFrame `(sentence: Array[String])` with `n · |V|` rows. */
+  /** The `n · |V|` walks, walk-major; starts no Spark job. */
+  def sentences(g: Graph, n: Int, l: Int, seed: Long = 13): Seq[Array[String]] = {
+    val seedBits = new SplittableRandom(seed).nextLong()
+    for (w <- 0 until n; v <- 0 until g.numNodes)
+      yield walk(g, v, l, new SplittableRandom(seedBits ^ ((v.toLong << 32) | w)))
+  }
+
+  /** [[sentences]] as a DataFrame `(sentence: Array[String])`, in the same order. */
   def walks(spark: SparkSession, g: Graph, n: Int, l: Int, seed: Long = 13): DataFrame = {
     import spark.implicits._
-    val bc       = spark.sparkContext.broadcast(g)
-    val seedBits = new SplittableRandom(seed).nextLong()
-    spark.sparkContext
-      .parallelize(0 until g.numNodes, spark.sparkContext.defaultParallelism)
-      .mapPartitions { startsIt =>
-        val graph  = bc.value
-        val starts = startsIt.toArray
-        // Walk-major order, as DeepWalk's passes over the node set.
-        for (w <- (0 until n).iterator; v <- starts.iterator)
-          yield walk(graph, v, l, new SplittableRandom(seedBits ^ ((v.toLong << 32) | w)))
-      }
-      .toDF("sentence")
+    spark.createDataset(sentences(g, n, l, seed)).toDF("sentence")
   }
 
   /** Labels of one walk of at most `l` nodes from `start`. */

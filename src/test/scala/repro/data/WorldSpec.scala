@@ -2,7 +2,8 @@ package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.core.TextPrep
+import repro.core.{Gamma, Merging, TextPrep}
+import repro.embed.EmbeddingsSpec.bits
 
 class WorldSpec extends AnyFunSuite {
   private val w = new World(42)
@@ -80,6 +81,17 @@ class PretrainedSpec extends SparkSpec {
     }
     val avgRnd = rndSim.sum / rndSim.size
     assert(avgSyn > avgRnd)
+  }
+  test("pretrained training is bit-reproducible, and so is its gamma merge map") {
+    val w = new World(42)
+    val a = Pretrained.train(w, dim = 24)
+    val b = Pretrained.train(w, dim = 24)
+    assert(bits(a) == bits(b))
+    val terms = w.genericCorpus().flatten.distinct
+    def mergeMap(v: Map[String, Array[Float]]) =
+      Merging.gammaMergeMap(terms, v, Gamma.calibrate(w.synonymPairsStemmed, v))
+    assert(mergeMap(a).nonEmpty)
+    assert(mergeMap(a) == mergeMap(b))
   }
   test("pretrained cache returns the same instance") {
     val w = new World(42)

@@ -1,6 +1,7 @@
 package repro.embed
 
 import repro.SparkSpec
+import repro.embed.EmbeddingsSpec.bits
 
 class EmbeddingsSpec extends SparkSpec {
 
@@ -59,5 +60,51 @@ class EmbeddingsSpec extends SparkSpec {
     val v1 = Embeddings.train(spark, df, cfg)
     val v2 = Embeddings.train(spark, df, cfg)
     assert(v1.keySet == v2.keySet)
+    assert(bits(v1) == bits(v2))
+    assert(bits(v1) == bits(Embeddings.train(corpus(50), cfg)))
+    assert(bits(v1) != bits(Embeddings.train(corpus(50), cfg.copy(seed = 4))))
   }
+  test("one SGNS step matches the update computed by hand") {
+    // Vocabulary {a = 0, b = 1}: b's input vector predicts the centre a
+    // (label 1) against the negative b (label 0); a negative equal to the
+    // centre is skipped.
+    val xa = Array(0.1f, 0.2f); val xb = Array(0.3f, -0.4f)
+    val ya = Array(0.5f, 0.6f); val yb = Array(-0.7f, 0.8f)
+    val w = new Embeddings.Weights(Array(xa.clone, xb.clone), Array(ya.clone, yb.clone))
+    val alpha = 0.1
+    w.step(input = 1, centre = 0, negatives = Array(0, 1), alpha = alpha.toFloat)
+
+    def sigmoid(f: Double) = 1 / (1 + math.exp(-f))
+    def dot(u: Array[Float], v: Array[Float]) = u.indices.map(i => u(i).toDouble * v(i)).sum
+    val gA = (1 - sigmoid(dot(xb, ya))) * alpha // f = -0.09
+    val gB = (0 - sigmoid(dot(xb, yb))) * alpha // f = -0.53
+    val expected = Seq(
+      xa(0).toDouble, xa(1).toDouble,
+      xb(0) + gA * ya(0) + gB * yb(0), xb(1) + gA * ya(1) + gB * yb(1))
+    val expectedOut = Seq(
+      ya(0) + gA * xb(0), ya(1) + gA * xb(1),
+      yb(0) + gB * xb(0), yb(1) + gB * xb(1))
+    // The sigmoid table's step (12 / 1000) bounds its error by 0.003 · alpha per gradient.
+    def near(got: Array[Float], want: Seq[Double]) =
+      got.indices.forall(i => math.abs(got(i) - want(i)) < 4e-4)
+    assert(near(w.syn0.flatten, expected), w.syn0.flatten.toSeq)
+    assert(near(w.syn1.flatten, expectedOut), w.syn1.flatten.toSeq)
+    assert(w.syn0(0).toSeq == xa.toSeq)
+  }
+  test("minCount = 2 drops singletons") {
+    val v = Embeddings.train(Seq(Array("a", "b", "a"), Array("c", "b")),
+      Embeddings.Config(vectorSize = 4, minCount = 2))
+    assert(v.keySet == Set("a", "b"))
+  }
+  test("an empty corpus gives an empty map") {
+    val cfg = Embeddings.Config(vectorSize = 4)
+    assert(Embeddings.train(Seq.empty, cfg).isEmpty)
+    assert(Embeddings.train(Seq(Array.empty[String]), cfg).isEmpty)
+  }
+}
+
+object EmbeddingsSpec {
+  /** Every vector's float bits, for exact comparison. */
+  def bits(v: Map[String, Array[Float]]): Map[String, Seq[Int]] =
+    v.map { case (k, a) => k -> a.toSeq.map(java.lang.Float.floatToRawIntBits) }
 }

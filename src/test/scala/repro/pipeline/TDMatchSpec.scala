@@ -1,14 +1,18 @@
 package repro.pipeline
 
 import org.apache.spark.SparkJobs
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, IntegerType, StringType}
 import repro.SparkSpec
 import repro.compress.{MSP, SSuM}
 import repro.core.{GraphBuilder, Kind, Merging, TextCorpus}
 import repro.data.Scenarios
+import repro.embed.Embeddings
+import repro.embed.EmbeddingsSpec.bits
 import repro.expand.Expansion
 import repro.metrics.RankMetrics
+import repro.walk.RandomWalks
 
 /** End-to-end pipeline checks on a tiny IMDb-like scenario. Quality
   * thresholds are deliberately loose — benches measure real numbers —
@@ -23,6 +27,10 @@ class TDMatchSpec extends SparkSpec {
     maxN = 2, numWalks = 8, walkLength = 8, window = 3, vectorSize = 32, topK = 15, seed = 3)
 
   private lazy val result = TDMatch.run(spark, sc.queries, sc.candidates, cfg)
+
+  /** Ranked rows with the bits of `sim`, for exact comparison. */
+  private def rows(ranked: DataFrame) = ranked.collect().map(r => (r.getString(0), r.getString(1),
+    java.lang.Double.doubleToRawLongBits(r.getDouble(2)), r.getInt(3))).toSeq
 
   test("pipeline produces a ranking for every query") {
     val qs = result.ranked.select("queryId").distinct().count()
@@ -108,9 +116,7 @@ class TDMatchSpec extends SparkSpec {
     assert(ids == ids.sorted)
   }
   test("a repeat rank call starts no Spark job and returns the same rows") {
-    def ranked() = TDMatch.rank(spark, sc.queries, sc.candidates, result.vectors, cfg.vectorSize, cfg.topK)
-      .collect().map(r => (r.getString(0), r.getString(1),
-        java.lang.Double.doubleToRawLongBits(r.getDouble(2)), r.getInt(3))).toSeq
+    def ranked() = rows(TDMatch.rank(spark, sc.queries, sc.candidates, result.vectors, cfg.vectorSize, cfg.topK))
     val first = ranked()
     val (second, jobs) = SparkJobs.count(spark.sparkContext)(ranked())
     assert(jobs == 0)
@@ -129,9 +135,20 @@ class TDMatchSpec extends SparkSpec {
   }
   test("pipeline is deterministic in seed at the ranking level") {
     val r2 = TDMatch.run(spark, sc.queries, sc.candidates, cfg)
-    val a = RankMetrics.mrr(result.ranked, sc.truth)
-    val b = RankMetrics.mrr(r2.ranked, sc.truth)
-    // Word2Vec training is multi-threaded; allow small drift
-    assert(math.abs(a - b) < 0.25, s"$a vs $b")
+    assert(bits(r2.vectors) == bits(result.vectors))
+    assert(rows(r2.ranked) == rows(result.ranked))
+  }
+  test("training on the walk DataFrame gives run's vectors bit for bit") {
+    val walks = RandomWalks.walks(spark, result.graph, cfg.numWalks, cfg.walkLength, cfg.seed)
+    val v = Embeddings.train(spark, walks,
+      Embeddings.Config(cfg.vectorSize, cfg.window, 1, cfg.w2vIterations, cfg.seed))
+    assert(bits(v) == bits(result.vectors))
+  }
+  test("a repeat run on warm corpora without merge, expansion or compression starts no Spark job") {
+    val first = rows(result.ranked)
+    val (again, jobs) = SparkJobs.count(spark.sparkContext)(rows(
+      TDMatch.run(spark, sc.queries, sc.candidates, cfg).ranked))
+    assert(jobs == 0)
+    assert(again == first)
   }
 }
